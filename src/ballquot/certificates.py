@@ -303,7 +303,7 @@ def _sweep_fields(cfg: RunConfig):
     lo, hi = cfg.d_range
     fields = [-k for k in range(max(lo, 4), hi + 1) if is_squarefree(-k)]
     if not fields:
-        raise ValueError(f"no squarefree D with |D| in {cfg.d_range} and D < -3")
+        raise ConfigError(f"no squarefree D with |D| in {cfg.d_range} and D < -3")
     return fields
 
 
@@ -521,6 +521,7 @@ class Claim:
     claim_id: str
     description: str
     run: Callable[[RunConfig, object], Certificate]
+    sweeps_fields: bool = False  # runs over the fields of cfg.d_range
 
 
 CLAIMS: Dict[str, Claim] = {
@@ -548,19 +549,23 @@ CLAIMS: Dict[str, Claim] = {
         Claim("qr_patterns", "allowed quasi-reflection eigenvalue orders",
               _claim_qr_patterns),
         Claim("cusp_suite", "frame normalization and stabiliser group laws",
-              _claim_cusp_suite),
+              _claim_cusp_suite, sweeps_fields=True),
         Claim("sigma_oracle", "lattice generator vs brute-force scan",
-              _claim_sigma_oracle),
+              _claim_sigma_oracle, sweeps_fields=True),
         Claim("sigma_lcm_formula", "lattice generator vs closed formula",
-              _claim_sigma_lcm),
+              _claim_sigma_lcm, sweeps_fields=True),
         Claim("boundary_order2", "2-torsion boundary elements behave",
-              _claim_boundary_order2),
+              _claim_boundary_order2, sweeps_fields=True),
     ]
 }
 
 
 class UnknownClaimError(ValueError):
     pass
+
+
+class ConfigError(ValueError):
+    """A run configuration the selected claims cannot run with."""
 
 
 def select_claims(selectors) -> List[str]:
@@ -631,6 +636,25 @@ def perturb_at(value, path):
     out = list(value)
     out[head] = perturb_at(value[head], rest)
     return type(value)(out) if isinstance(value, tuple) else out
+
+
+def validate_config(cfg: RunConfig) -> None:
+    """Reject a bad configuration before any claim runs.
+
+    Raises UnknownClaimError for a selector that matches no claim and
+    ConfigError for a |D| window with LO > HI, for a window without a field
+    to sweep when a selected claim sweeps fields, and for a report file in
+    a directory that does not exist.
+    """
+    claim_ids = select_claims(cfg.claims)
+    lo, hi = cfg.d_range
+    if lo > hi:
+        raise ConfigError(f"empty |D| window: LO = {lo} exceeds HI = {hi}")
+    if any(CLAIMS[claim_id].sweeps_fields for claim_id in claim_ids):
+        _sweep_fields(cfg)
+    import os
+    if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
+        raise ConfigError(f"no directory to write the report {cfg.out!r} to")
 
 
 def run_claims(cfg: RunConfig) -> List[Certificate]:

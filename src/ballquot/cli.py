@@ -8,8 +8,9 @@ import sys
 from typing import List, Optional
 
 from . import tables
-from .certificates import (CLAIMS, Certificate, RunConfig, UnknownClaimError,
-                           _render, run_claims)
+from .certificates import (CLAIMS, Certificate, ConfigError, RunConfig,
+                           UnknownClaimError, _render, run_claims,
+                           validate_config)
 from .cyclo import InternalCheckError
 from .qfield import fmt_rational
 from .reidtai import (CASE_FAMILIES, case_analysis, c_min_red,
@@ -96,23 +97,29 @@ def _json_report(certs: List[Certificate], cfg: RunConfig) -> str:
 
 
 def run_command(cfg: RunConfig) -> int:
+    """Exit 2 for a configuration rejected before any claim runs, 3 for any
+    error after that, else 1 if some certificate fails and 0 if none does."""
+    try:
+        validate_config(cfg)
+    except (UnknownClaimError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         certs = run_claims(cfg)
-    except UnknownClaimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        report = _text_report(certs, cfg) if cfg.fmt == "text" else _json_report(certs, cfg)
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        else:
+            sys.stdout.write(report)
     except InternalCheckError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    report = _text_report(certs, cfg) if cfg.fmt == "text" else _json_report(certs, cfg)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INCONSISTENT
     return EXIT_OK if all(c.passed() for c in certs) else EXIT_FAILURES
 
 

@@ -1,21 +1,35 @@
 """Exact arithmetic over imaginary quadratic fields.
 
-Elements of Q(sqrt(D)), D < 0 squarefree, are stored as a pair of
-``fractions.Fraction`` coordinates with respect to the basis (1, sqrt(D)),
-together with the field tag D.  Matrices over such a field come with the
-linear algebra needed elsewhere: hermitian adjoints, Gauss-Jordan inversion,
-exact rank/kernel computations.  No floating point is used anywhere.
+An element re + rt*sqrt(D) of Q(sqrt(D)), D < 0 squarefree, is a
+:class:`QElem`: the field tag D and two ``fractions.Fraction`` coordinates
+with respect to the basis (1, sqrt(D)).  A :class:`QMatrix` holds a tuple
+of such elements and provides hermitian adjoints, products, inverses,
+determinants and ranks.
+
+The matrix kernel computes on integers.  Each operation reads its entries
+once as integer numerator pairs (a, b), standing for a + b*sqrt(D), over one
+common denominator.  A product is then integer multiply-add.  Inversion,
+determinants and ranks use Bareiss's fraction-free elimination (Math. Comp.
+22, 1968) over the ring Z[sqrt(D)]: every intermediate entry is a minor of
+the integer matrix, so each division by the previous pivot p is exact and
+is carried out as multiplication by conj(p) followed by integer division
+by the norm p*conj(p).  Each output entry is built once, in lowest terms.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
+
+_ZERO = Fraction(0)
 
 
 class FieldTagError(ValueError):
@@ -37,9 +51,19 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+# The last tag that passed check_field_tag.  One slot, so that a sweep over
+# thousands of fields holds no more than a run over one.
+_checked_tag = None
+
+
 def check_field_tag(d: int) -> int:
+    global _checked_tag
+    if type(d) is int and d == _checked_tag:
+        return d
     if not isinstance(d, int) or d >= 0 or not is_squarefree(d):
         raise ValueError(f"field tag must be a squarefree negative integer, got {d!r}")
+    if type(d) is int:
+        _checked_tag = d
     return d
 
 
@@ -54,24 +78,46 @@ def fmt_rational(q: RationalLike) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
 class QElem:
-    """An element re + rt*sqrt(D) of the imaginary quadratic field Q(sqrt(D))."""
+    """An element re + rt*sqrt(D) of the imaginary quadratic field Q(sqrt(D)).
 
-    d: int
-    re: Fraction
-    rt: Fraction
+    Immutable; ``re`` and ``rt`` are always ``Fraction``.  Equality and
+    hashing go by the triple (d, re, rt).
+    """
 
-    def __post_init__(self):
-        check_field_tag(self.d)
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "rt", Fraction(self.rt))
+    __slots__ = ("d", "re", "rt")
+
+    def __init__(self, d: int, re: RationalLike, rt: RationalLike):
+        check_field_tag(d)
+        _set_d(self, d)
+        _set_re(self, re if type(re) is Fraction else Fraction(re))
+        _set_rt(self, rt if type(rt) is Fraction else Fraction(rt))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return QElem, (self.d, self.re, self.rt)
+
+    def __eq__(self, other):
+        if other.__class__ is QElem:
+            return (self.d, self.re, self.rt) == (other.d, other.re, other.rt)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.d, self.re, self.rt))
+
+    def __repr__(self):
+        return f"QElem(d={self.d!r}, re={self.re!r}, rt={self.rt!r})"
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def of(cls, d: int, re: RationalLike = 0, rt: RationalLike = 0) -> "QElem":
-        return cls(d, Fraction(re), Fraction(rt))
+        return cls(d, re, rt)
 
     @classmethod
     def zero(cls, d: int) -> "QElem":
@@ -93,12 +139,12 @@ class QElem:
                 raise FieldTagError(f"mixed field tags {self.d} and {other.d}")
             return other
         if isinstance(other, (int, Fraction)):
-            return QElem.of(self.d, other)
+            return _elem(self.d, Fraction(other), _ZERO)
         return NotImplemented
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.rt == 0
+        return not (self.re or self.rt)
 
     @property
     def is_rational(self) -> bool:
@@ -110,7 +156,7 @@ class QElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QElem(self.d, self.re + o.re, self.rt + o.rt)
+        return _elem(self.d, self.re + o.re, self.rt + o.rt)
 
     __radd__ = __add__
 
@@ -118,7 +164,7 @@ class QElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QElem(self.d, self.re - o.re, self.rt - o.rt)
+        return _elem(self.d, self.re - o.re, self.rt - o.rt)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -127,32 +173,40 @@ class QElem:
         return o - self
 
     def __neg__(self):
-        return QElem(self.d, -self.re, -self.rt)
+        return _elem(self.d, -self.re, -self.rt)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QElem(
-            self.d,
-            self.re * o.re + self.d * self.rt * o.rt,
-            self.re * o.rt + self.rt * o.re,
-        )
+        # (a + b*sqrt(D)) * (c + e*sqrt(D)) on numerators over the one
+        # denominator of both coordinates of the product
+        a, b, c, e = self.re, self.rt, o.re, o.rt
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        cn, cd, en, ed = c.numerator, c.denominator, e.numerator, e.denominator
+        den = ad * bd * cd * ed
+        return _elem(self.d,
+                     Fraction(an * cn * bd * ed + self.d * bn * en * ad * cd, den),
+                     Fraction(an * en * bd * cd + bn * cn * ad * ed, den))
 
     __rmul__ = __mul__
 
     def conj(self) -> "QElem":
-        return QElem(self.d, self.re, -self.rt)
+        return _elem(self.d, self.re, -self.rt)
 
     def norm(self) -> Fraction:
         """Field norm x * conj(x) = re^2 - D*rt^2; positive for x != 0."""
         return self.re * self.re - self.d * self.rt * self.rt
 
     def inverse(self) -> "QElem":
-        n = self.norm()
+        # conj(x) / norm(x), with norm(x) = n / (ad*bd)^2
+        an, ad = self.re.numerator, self.re.denominator
+        bn, bd = self.rt.numerator, self.rt.denominator
+        n = (an * bd) ** 2 - self.d * (bn * ad) ** 2
         if n == 0:
             raise ZeroDivisionError("inverse of zero element")
-        return QElem(self.d, self.re / n, -self.rt / n)
+        s = ad * bd
+        return _elem(self.d, Fraction(an * bd * s, n), Fraction(-bn * ad * s, n))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -194,6 +248,76 @@ class QElem:
     @classmethod
     def from_obj(cls, obj) -> "QElem":
         return cls(int(obj["D"]), Fraction(obj["re"]), Fraction(obj["rt"]))
+
+
+_new = object.__new__
+_set_d = QElem.d.__set__
+_set_re = QElem.re.__set__
+_set_rt = QElem.rt.__set__
+
+
+def _elem(d: int, re: Fraction, rt: Fraction) -> QElem:
+    """A QElem from a tag already checked and two Fractions, as arithmetic
+    on checked elements produces them; nothing is validated again."""
+    x = _new(QElem)
+    _set_d(x, d)
+    _set_re(x, re)
+    _set_rt(x, rt)
+    return x
+
+
+def _numerators(entries):
+    """(den, re, rt): the entries as re[i] + rt[i]*sqrt(D) over den, with
+    den the least common denominator of all their coordinates."""
+    res = [x.re for x in entries]
+    rts = [x.rt for x in entries]
+    re_dens = [q.denominator for q in res]
+    rt_dens = [q.denominator for q in rts]
+    den = lcm(*re_dens, *rt_dens)
+    if den == 1:
+        return 1, [q.numerator for q in res], [q.numerator for q in rts]
+    return (den, [q.numerator * (den // k) for q, k in zip(res, re_dens)],
+            [q.numerator * (den // k) for q, k in zip(rts, rt_dens)])
+
+
+def _from_numerators(d: int, den: int, re, rt) -> tuple:
+    """The entries (re[i] + rt[i]*sqrt(d)) / den, each built once."""
+    return tuple([_elem(d, Fraction(a, den) if a else _ZERO,
+                        Fraction(b, den) if b else _ZERO)
+                  for a, b in zip(re, rt)])
+
+
+def _bareiss_step(d: int, re, rt, r: int, c: int, rows, prev) -> None:
+    """One step of fraction-free elimination over Z[sqrt(d)], in place.
+
+    The pivot is p = re[r][c] + rt[r][c]*sqrt(d) and ``prev`` = (a, b) is
+    the previous pivot a + b*sqrt(d), (1, 0) at the first step.  Columns
+    c+1.. of every row i in ``rows`` become (p*row_i - row_i[c]*row_r) /
+    prev.  By Sylvester's identity the quotient lies in Z[sqrt(d)]; it is
+    computed as a product with conj(prev) and an exact integer division by
+    the norm of prev.  Columns up to c are left stale: no later step reads
+    them.
+    """
+    pr, pt = re[r][c], rt[r][c]
+    qr, qt = prev
+    if qt:
+        norm = qr * qr - d * qt * qt
+        pr, pt = pr * qr - d * pt * qt, pt * qr - pr * qt
+    else:
+        norm = qr
+    kr, kt = re[r][c + 1:], rt[r][c + 1:]
+    dpt = d * pt
+    for i in rows:
+        xr, xt = re[i], rt[i]
+        fr, ft = xr[c], xt[c]
+        if qt:
+            fr, ft = fr * qr - d * ft * qt, ft * qr - fr * qt
+        dft = d * ft
+        tail = list(zip(xr[c + 1:], xt[c + 1:], kr, kt))
+        xr[c + 1:] = [(pr * a + dpt * b - fr * e - dft * g) // norm
+                      for a, b, e, g in tail]
+        xt[c + 1:] = [(pr * b + pt * a - fr * g - ft * e) // norm
+                      for a, b, e, g in tail]
 
 
 def conj(x: QElem) -> QElem:
@@ -318,23 +442,33 @@ class QMatrix:
 
     def scale(self, c) -> "QMatrix":
         c = c if isinstance(c, QElem) else QElem.of(self.d, c)
-        return QMatrix(self.d, self.rows, self.cols, tuple(c * a for a in self.entries))
+        if c.d != self.d:
+            raise FieldTagError(f"mixed field tags {c.d} and {self.d}")
+        d = self.d
+        cden, (cr,), (ct,) = _numerators((c,))
+        den, re, rt = _numerators(self.entries)
+        dct = d * ct
+        return QMatrix(d, self.rows, self.cols, _from_numerators(
+            d, cden * den,
+            [cr * a + dct * b for a, b in zip(re, rt)],
+            [cr * b + ct * a for a, b in zip(re, rt)]))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.d != other.d:
             raise FieldTagError("mixed field tags in matrix product")
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        zero = QElem.zero(self.d)
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[base + k] * other.entries[k * other.cols + j]
-                out.append(acc)
-        return QMatrix(self.d, self.rows, other.cols, tuple(out))
+        d, k, p = self.d, self.cols, other.cols
+        aden, ar, at = _numerators(self.entries)
+        bden, br, bt = _numerators(other.entries)
+        cols = [(br[j::p], bt[j::p]) for j in range(p)]
+        re, rt = [], []
+        for i in range(0, self.rows * k, k):
+            xr, xt = ar[i:i + k], at[i:i + k]
+            for yr, yt in cols:
+                re.append(sum(map(mul, xr, yr)) + d * sum(map(mul, xt, yt)))
+                rt.append(sum(map(mul, xr, yt)) + sum(map(mul, xt, yr)))
+        return QMatrix(d, self.rows, p, _from_numerators(d, aden * bden, re, rt))
 
     def hermitian_adjoint(self) -> "QMatrix":
         ents = tuple(self.at(j, i).conj() for i in range(self.cols) for j in range(self.rows))
@@ -347,35 +481,27 @@ class QMatrix:
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.hermitian_adjoint()
 
-    def power(self, k: int) -> "QMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        out = QMatrix.identity(self.d, self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
-
     # -- elimination -------------------------------------------------------
 
+    def _integer_rows(self):
+        """(den, re, rt): den * self as rows of integer coordinate lists."""
+        den, re, rt = _numerators(self.entries)
+        nc = self.cols
+        return (den, [re[i:i + nc] for i in range(0, len(re), nc)],
+                [rt[i:i + nc] for i in range(0, len(rt), nc)])
+
     def rank(self) -> int:
-        work = [row[:] for row in self.to_rows()]
-        nr, nc = self.rows, self.cols
-        r = 0
-        for c in range(nc):
-            piv = next((i for i in range(r, nr) if not work[i][c].is_zero), None)
+        _, re, rt = self._integer_rows()
+        nr = self.rows
+        r, prev = 0, (1, 0)
+        for c in range(self.cols):
+            piv = next((i for i in range(r, nr) if re[i][c] or rt[i][c]), None)
             if piv is None:
                 continue
-            work[r], work[piv] = work[piv], work[r]
-            inv = work[r][c].inverse()
-            work[r] = [inv * e for e in work[r]]
-            for i in range(nr):
-                if i != r and not work[i][c].is_zero:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            re[r], re[piv] = re[piv], re[r]
+            rt[r], rt[piv] = rt[piv], rt[r]
+            _bareiss_step(self.d, re, rt, r, c, range(r + 1, nr), prev)
+            prev = (re[r][c], rt[r][c])
             r += 1
             if r == nr:
                 break
@@ -387,43 +513,51 @@ class QMatrix:
     def inverse(self) -> "QMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        work = [row + ident for row, ident in
-                zip(self.to_rows(), QMatrix.identity(self.d, n).to_rows())]
+        d, n = self.d, self.rows
+        den, re, rt = self._integer_rows()
+        for i in range(n):
+            re[i] += [0] * n
+            rt[i] += [0] * n
+            re[i][n + i] = 1
+        prev = (1, 0)
         for c in range(n):
-            piv = next((i for i in range(c, n) if not work[i][c].is_zero), None)
+            piv = next((i for i in range(c, n) if re[i][c] or rt[i][c]), None)
             if piv is None:
                 raise ZeroDivisionError("matrix is singular")
-            work[c], work[piv] = work[piv], work[c]
-            inv = work[c][c].inverse()
-            work[c] = [inv * e for e in work[c]]
-            for i in range(n):
-                if i != c and not work[i][c].is_zero:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-        return QMatrix.from_rows(self.d, [row[n:] for row in work])
+            re[c], re[piv] = re[piv], re[c]
+            rt[c], rt[piv] = rt[piv], rt[c]
+            _bareiss_step(d, re, rt, c, c, [i for i in range(n) if i != c], prev)
+            prev = (re[c][c], rt[c][c])
+        # [den*self | I] is now [p*I | p*(den*self)^-1] for the last pivot p,
+        # so self^-1 = den * conj(p) * (right block) / norm(p)
+        pr, pt = prev
+        norm = pr * pr - d * pt * pt
+        out_re, out_rt = [], []
+        for i in range(n):
+            for xr, xt in zip(re[i][n:], rt[i][n:]):
+                out_re.append((xr * pr - d * xt * pt) * den)
+                out_rt.append((xt * pr - xr * pt) * den)
+        return QMatrix(d, n, n, _from_numerators(d, norm, out_re, out_rt))
 
     def det(self) -> QElem:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        work = [row[:] for row in self.to_rows()]
-        det = QElem.one(self.d)
+        d, n = self.d, self.rows
+        den, re, rt = self._integer_rows()
+        sign, prev = 1, (1, 0)
         for c in range(n):
-            piv = next((i for i in range(c, n) if not work[i][c].is_zero), None)
+            piv = next((i for i in range(c, n) if re[i][c] or rt[i][c]), None)
             if piv is None:
-                return QElem.zero(self.d)
+                return QElem.zero(d)
             if piv != c:
-                work[c], work[piv] = work[piv], work[c]
-                det = -det
-            det = det * work[c][c]
-            inv = work[c][c].inverse()
-            work[c] = [inv * e for e in work[c]]
-            for i in range(c + 1, n):
-                if not work[i][c].is_zero:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-        return det
+                re[c], re[piv] = re[piv], re[c]
+                rt[c], rt[piv] = rt[piv], rt[c]
+                sign = -sign
+            _bareiss_step(d, re, rt, c, c, range(c + 1, n), prev)
+            prev = (re[c][c], rt[c][c])
+        # the last pivot is the determinant of den*self, up to the row swaps
+        scale = den ** n
+        return _elem(d, Fraction(sign * prev[0], scale), Fraction(sign * prev[1], scale))
 
     # -- serialization -----------------------------------------------------
 

@@ -181,3 +181,65 @@ def test_cli_text_report_to_stdout(capsys):
     assert code == 0
     assert "claim qr_patterns: PASS" in out
     assert "summary: 1 claims, 1 PASS, 0 FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--claims", "qr_patterns", "--d-range", "9", "5"],
+    ["--claims", "cusp_suite", "--d-range", "1", "3"],
+    ["--claims", "sigma_*", "--d-range", "16", "16"],
+    ["--claims", "boundary_order2", "--d-range", "7", "6"],
+    ["--claims", "qr_patterns", "--out", "no/such/directory/report.json"],
+])
+def test_cli_bad_config_exits_2_before_any_claim_runs(argv, monkeypatch, capsys):
+    from ballquot import certificates as certs_mod
+
+    def must_not_run(cfg, expected=None):
+        raise AssertionError("a claim ran on a rejected configuration")
+
+    for claim_id, claim in list(certs_mod.CLAIMS.items()):
+        monkeypatch.setitem(certs_mod.CLAIMS, claim_id,
+                            certs_mod.Claim(claim_id, claim.description,
+                                            must_not_run, claim.sweeps_fields))
+    code = cli.main(["run", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_cli_kernel_faults_exit_3(monkeypatch, capsys):
+    # a wrong product and a failing inverse used to surface as usage errors
+    from ballquot import certificates as certs_mod
+    from ballquot.qfield import QElem, QMatrix
+    monkeypatch.setattr(certs_mod, "FRAMES_PER_FIELD", 1)
+    product = QMatrix.__matmul__
+
+    def wrong_product(a, b):
+        out = product(a, b)
+        if out.rows != 4 or out.cols != 4:
+            return out
+        return out + QMatrix.from_rows(out.d, [[QElem.sqrt_d(out.d)] + [0] * 3]
+                                       + [[0] * 4] * 3)
+
+    def singular(m):
+        raise ZeroDivisionError("matrix is singular")
+
+    for attr, fault in (("__matmul__", wrong_product), ("inverse", singular)):
+        with monkeypatch.context() as patch:
+            patch.setattr(QMatrix, attr, fault)
+            code = cli.main(["run", "--claims", "cusp_suite", "--d-range", "6", "7"])
+        err = capsys.readouterr().err
+        assert code == 3, attr
+        assert err.startswith("internal error: "), err
+
+
+def test_cli_arithmetic_error_exits_3(monkeypatch, capsys):
+    from ballquot import cusp
+
+    def fails(qprime, n):
+        raise ArithmeticError("normalization failed to reach the block shape")
+
+    monkeypatch.setattr(cusp, "normalize_cusp_basis", fails)
+    code = cli.main(["run", "--claims", "cusp_suite", "--d-range", "6", "6"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "ArithmeticError" in err

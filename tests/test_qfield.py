@@ -62,6 +62,60 @@ def test_mixed_tags_error():
         x * y
 
 
+def test_validated_tag_does_not_admit_lookalikes():
+    # once -6 has passed the check, tags that compare or hash equal to it,
+    # and other bad tags, must still be rejected
+    QElem(-6, 1, 0)
+    for bad in (-6.0, F(-6), -4, 0, 5):
+        with pytest.raises(ValueError):
+            QElem(bad, 1, 0)
+    QElem(-6, 1, 0)
+    a, b = QMatrix.identity(-6, 2), QMatrix.identity(-5, 2)
+    x, y = QElem.one(-6), QElem.one(-5)
+    for op in (lambda: a @ b, lambda: x + y, lambda: x * y, lambda: a.scale(y)):
+        with pytest.raises(FieldTagError):
+            op()
+
+
+def test_elements_are_frozen():
+    x = QElem.of(-6, 1, 2)
+    for name in ("d", "re", "rt", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 3)
+    with pytest.raises(AttributeError):
+        del x.re
+    assert x == QElem.of(-6, 1, 2)
+
+
+def test_equal_values_by_different_routes():
+    half = QElem.of(-6, F(2, 4))
+    for other in (QElem.of(-6, F(3, 2)) * QElem.of(-6, F(1, 3)),
+                  QElem(-6, F(1, 2), 0),
+                  QElem.of(-6, 1) / 2,
+                  QElem.of(-6, 2).inverse(),
+                  (QMatrix.row(-6, [1, F(1, 4)]) @ QMatrix.column(-6, [F(1, 4), 1])).scalar(),
+                  QMatrix.from_rows(-6, [[2]]).inverse().scalar(),
+                  QMatrix.from_rows(-6, [[F(1, 2)]]).det()):
+        assert other == half and hash(other) == hash(half)
+        assert type(other.re) is F and type(other.rt) is F
+    assert len({half, QElem.of(-6, F(1, 2)), QElem.of(-5, F(1, 2))}) == 2
+
+
+def test_elements_never_equal_plain_numbers():
+    assert (QElem.of(-6, 0) == 0) is False
+    assert (QElem.of(-6, 1) == 1) is False
+    assert QElem.of(-6, 1) != F(1)
+
+
+def test_repr_and_pickle():
+    import copy
+    import pickle
+    x = QElem.of(-7, F(1, 2), -3)
+    assert repr(x) == "QElem(d=-7, re=Fraction(1, 2), rt=Fraction(-3, 1))"
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert copy.deepcopy(x) == x
+
+
 def test_conj_examples():
     assert conj(QElem.of(-5, 3, 2)) == QElem.of(-5, 3, -2)
     assert conj(QElem.of(-5, 4)) == QElem.of(-5, 4)
