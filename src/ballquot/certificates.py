@@ -1,25 +1,31 @@
 """Named certificates binding computations to their published expected values.
 
-Each claim recomputes a finite quantity from scratch (minima with witnesses,
-enumerations, property sweeps) and compares it against the reference data in
-:mod:`ballquot.tables` or against an exact bound.  The result is a
-:class:`Certificate` with PASS/FAIL verdict, inputs, search bounds and
-witnesses; rationals are serialized in lowest terms, never as floats.
+Each claim has three parts.  Its compute step ``run(cfg)`` recomputes a
+finite quantity from scratch (minima with witnesses, enumerations, property
+sweeps) and returns a :class:`Computed`: the report rows and the observed
+value.  ``expected(cfg)`` is the claim's default expected value, taken from
+:mod:`ballquot.tables` or an exact bound, and ``judge(computed, expected)``
+gives the verdict: the observed value equals the expected one and the
+claim's intrinsic checks (such as every ``mc(r) >= 1``) hold.
+:func:`certify` joins the parts into a :class:`Certificate` with PASS/FAIL
+verdict, inputs, search bounds and witnesses, so one computation can be
+judged against many expected values; rationals are serialized in lowest
+terms, never as floats.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import cusp, reidtai, tables
-from .cyclo import euler_phi, units_mod
+from .cyclo import euler_phi, full_orbit
 from .qfield import QElem, QMatrix, block_matrix, fmt_rational, in_ring_of_integers, is_squarefree
 from .reidtai import (CASE_FAMILIES, DIMENSION_COEFF, EigenSystem,
-                      c_min_red_with_witness, case_analysis,
+                      _orbit_sum_at, c_min_red_with_witness, case_analysis,
                       enumerate_exceptional_orders, enumerate_small_d,
                       is_quasi_reflection, mc_for_field, mc_literal_reading,
                       mc_with_witness, qr_allowed_patterns, reid_tai_sum)
@@ -42,6 +48,18 @@ class RunConfig:
     fmt: str = "text"
     out: Optional[str] = None
     perturb: bool = False
+
+
+@dataclass
+class Computed:
+    """What a claim's compute step returns: the report rows (labels, values
+    and witnesses), the value its judge compares with the expected one, and
+    whether the checks that need no expected value hold."""
+    rows: List[Dict]
+    observed: object
+    inputs: Dict = field(default_factory=dict)
+    search_bounds: Dict = field(default_factory=dict)
+    intrinsic: bool = True
 
 
 @dataclass
@@ -87,212 +105,157 @@ def _render(x):
 
 
 # ---------------------------------------------------------------------------
+# judges
+
+
+def _matches(result: Computed, expected) -> bool:
+    """The intrinsic checks hold and the observed value is the expected one;
+    a configuration without an expected value is judged on the former."""
+    return result.intrinsic and (expected is None or result.observed == expected)
+
+
+def _order_differences(result: Computed, expected) -> List[Dict]:
+    got, want = set(result.observed), set(expected)
+    return [{"label": "missing_from_expected", "value": sorted(got - want)},
+            {"label": "extra_in_expected", "value": sorted(want - got)}]
+
+
+def _qr_patterns_allowed(result: Computed, expected) -> bool:
+    return all(p.alpha_orders == p.exceptional_orders == expected.get(d, expected["generic"])
+               for d, p in result.observed.items())
+
+
+# ---------------------------------------------------------------------------
 # claims on the minimization tables
 
 
-def _claim_cminred(cfg: RunConfig, expected=None) -> Certificate:
-    expected = tables.CMINRED_EXPECTED if expected is None else expected
-    computed, ok = [], True
-    for d in sorted(expected):
+def _mc_row(label: str, wit) -> Dict:
+    return {"label": label, "value": wit.value,
+            "witness": {"orbit": wit.orbit_label, "D": wit.d_field, "k1": wit.k1}}
+
+
+def _sweep_minimum(rows: List[Dict], values, **where) -> Computed:
+    """A sweep of values that must each reach 1, observed by its minimum."""
+    return Computed(rows, {"min_value": min(values, default=None)},
+                    intrinsic=all(v >= 1 for v in values), **where)
+
+
+def _claim_cminred(cfg: RunConfig) -> Computed:
+    rows, observed = [], {}
+    for d in sorted(tables.CMINRED_EXPECTED):
         value, d_tag, label, shift = c_min_red_with_witness(d)
-        match = value == expected[d]
-        ok = ok and match
-        computed.append({"label": f"c_min_red({d})", "value": value,
-                         "witness": {"D": d_tag, "orbit": label, "shift": shift}})
-    return Certificate("cminred_table", {}, computed,
-                       PASS if ok else FAIL, {"d_values": sorted(expected)},
-                       expected=expected,
-                       bound_checked="c_min_red(d) == expected[d]")
+        observed[d] = value
+        rows.append({"label": f"c_min_red({d})", "value": value,
+                     "witness": {"D": d_tag, "orbit": label, "shift": shift}})
+    return Computed(rows, observed, search_bounds={"d_values": sorted(observed)})
 
 
-def _claim_mc_phi10(cfg: RunConfig, expected=None) -> Certificate:
+def _phi10_limit(cfg: RunConfig) -> int:
     # the sweep is quadratic in phi(r); a CLI-wide r_limit meant for the
     # linear enumerations is capped here
-    r_limit = min(cfg.r_limit or 300, 500)
-    if expected is None and r_limit == 300:
-        expected = {"min_value": tables.MC_PHI10_MIN}
-    computed, ok, worst = [], True, None
-    for r in range(3, r_limit + 1):
-        if euler_phi(r) < 10:
-            continue
-        wit = mc_with_witness(r)
-        ok = ok and wit.value >= 1
-        worst = wit.value if worst is None else min(worst, wit.value)
-        computed.append({"label": f"mc({r})", "value": wit.value,
-                         "witness": {"orbit": wit.orbit_label, "D": wit.d_field,
-                                     "k1": wit.k1}})
-    if expected is not None:
-        ok = ok and worst == expected["min_value"]
-    return Certificate("mc_ge_1_phi10", {"r_limit": r_limit}, computed,
-                       PASS if ok else FAIL,
-                       {"r_limit": r_limit, "phi_min": 10},
-                       expected=expected,
-                       bound_checked="mc(r) >= 1 for phi(r) >= 10; sweep "
-                                     "minimum matches the recorded worst case")
+    return min(cfg.r_limit or 300, 500)
 
 
-def _claim_mc_9_16_18(cfg: RunConfig, expected=None) -> Certificate:
-    if expected is None:
-        expected = {"min_value": tables.MC_9_16_18_MIN}
+def _claim_mc_phi10(cfg: RunConfig) -> Computed:
+    r_limit = _phi10_limit(cfg)
+    wits = [(r, mc_with_witness(r)) for r in range(3, r_limit + 1) if euler_phi(r) >= 10]
+    return _sweep_minimum([_mc_row(f"mc({r})", wit) for r, wit in wits],
+                          [wit.value for _, wit in wits], inputs={"r_limit": r_limit},
+                          search_bounds={"r_limit": r_limit, "phi_min": 10})
+
+
+def _claim_mc_9_16_18(cfg: RunConfig) -> Computed:
     d_abs_limit = 1000
-    computed, ok, overall = [], True, None
+    rows, values = [], []
     for r in (9, 16, 18):
         wit = mc_with_witness(r)
-        ok = ok and wit.value >= 1
-        overall = wit.value if overall is None else min(overall, wit.value)
-        computed.append({"label": f"mc({r})", "value": wit.value,
-                         "witness": {"orbit": wit.orbit_label, "D": wit.d_field,
-                                     "k1": wit.k1}})
+        rows.append(_mc_row(f"mc({r})", wit))
         worst = min(
             (mc_for_field(r, -k), -k)
             for k in range(1, d_abs_limit + 1) if is_squarefree(-k)
         )
-        ok = ok and worst[0] >= 1
-        overall = min(overall, worst[0])
-        computed.append({"label": f"min over fields |D|<={d_abs_limit} of mc_for_field({r})",
-                         "value": worst[0], "witness": {"D": worst[1]}})
-    ok = ok and overall == expected["min_value"]
-    return Certificate("mc_r_9_16_18", {}, computed, PASS if ok else FAIL,
-                       {"r_set": [9, 16, 18], "d_abs_limit": d_abs_limit},
-                       expected=expected,
-                       bound_checked="mc(r) >= 1 overall and per field; sweep "
-                                     "minimum matches the recorded worst case")
+        rows.append({"label": f"min over fields |D|<={d_abs_limit} of mc_for_field({r})",
+                     "value": worst[0], "witness": {"D": worst[1]}})
+        values += [wit.value, worst[0]]
+    return _sweep_minimum(rows, values, search_bounds={"r_set": [9, 16, 18],
+                                                       "d_abs_limit": d_abs_limit})
 
 
-def _claim_mc_phi4(cfg: RunConfig, expected=None) -> Certificate:
-    if expected is None:
-        expected = {"min_value": tables.MC_PHI4_RESTRICTED_MIN}
+def _claim_mc_phi4(cfg: RunConfig) -> Computed:
     r_set = [r for r in range(3, 50) if euler_phi(r) == 4]
-    computed, ok, worst = [], True, None
-    for r in r_set:
-        wit = mc_with_witness(r, d_filter=lambda D: D < -3)
-        ok = ok and wit.value >= 1
-        worst = wit.value if worst is None else min(worst, wit.value)
-        computed.append({"label": f"mc({r}) with D < -3", "value": wit.value,
-                         "witness": {"orbit": wit.orbit_label, "D": wit.d_field,
-                                     "k1": wit.k1}})
-    ok = ok and worst == expected["min_value"]
-    return Certificate("mc_phi4_restricted", {"filter": "D < -3"}, computed,
-                       PASS if ok else FAIL, {"r_set": r_set},
-                       expected=expected,
-                       bound_checked="mc(r) >= 1 for phi(r) = 4, D < -3; sweep "
-                                     "minimum matches the recorded worst case")
+    wits = [(r, mc_with_witness(r, d_filter=lambda D: D < -3)) for r in r_set]
+    return _sweep_minimum([_mc_row(f"mc({r}) with D < -3", wit) for r, wit in wits],
+                          [wit.value for _, wit in wits], inputs={"filter": "D < -3"},
+                          search_bounds={"r_set": r_set})
 
 
-def _claim_mc_literal(cfg: RunConfig, expected=None) -> Certificate:
+def _claim_mc_literal(cfg: RunConfig) -> Computed:
     r_limit = min(cfg.r_limit or 100, 300)
-    mismatches = []
-    for r in range(3, r_limit + 1):
-        if reidtai.mc(r) != mc_literal_reading(r):
-            mismatches.append(r)
-    computed = [{"label": "quantifier readings disagree at", "value": mismatches}]
-    return Certificate("mc_literal_reading", {}, computed,
-                       PASS if not mismatches else FAIL, {"r_limit": r_limit},
-                       expected={"mismatches": ()},
-                       bound_checked="both quantifier readings of mc agree")
+    mismatches = [r for r in range(3, r_limit + 1)
+                  if reidtai.mc(r) != mc_literal_reading(r)]
+    return Computed([{"label": "quantifier readings disagree at", "value": mismatches}],
+                    {"mismatches": len(mismatches)}, search_bounds={"r_limit": r_limit})
 
 
-def _claim_exceptional(cfg: RunConfig, expected=None) -> Certificate:
+def _claim_exceptional(cfg: RunConfig) -> Computed:
     limit = cfg.r_limit or 10 ** 5
-    if expected is None:
-        expected = tables.expand_exceptional_families(limit)
     got = enumerate_exceptional_orders(limit)
-    ok = tuple(got) == tuple(expected)
-    computed = [
-        {"label": "count", "value": len(got)},
-        {"label": "orders", "value": list(got)},
-    ]
-    if not ok:
-        sg, se = set(got), set(expected)
-        computed.append({"label": "missing_from_expected", "value": sorted(sg - se)})
-        computed.append({"label": "extra_in_expected", "value": sorted(se - sg)})
-    return Certificate("exceptional_orders", {}, computed, PASS if ok else FAIL,
-                       {"limit": limit}, expected=list(expected),
-                       bound_checked="analytic-bound enumeration == family tables")
+    return Computed([{"label": "count", "value": len(got)},
+                     {"label": "orders", "value": list(got)}],
+                    tuple(got), search_bounds={"limit": limit})
 
 
-def _claim_small_d(cfg: RunConfig, expected=None) -> Certificate:
+def _claim_small_d(cfg: RunConfig) -> Computed:
     limit = cfg.d_limit or 10 ** 4
-    if expected is None:
-        expected = tuple(d for d in tables.SMALL_D_EXPECTED if d <= limit)
     got = enumerate_small_d(limit)
-    ok = tuple(got) == tuple(expected)
-    computed = [{"label": "orders", "value": list(got)}]
-    return Certificate("small_d_list", {}, computed, PASS if ok else FAIL,
-                       {"limit": limit}, expected=list(expected),
-                       bound_checked="enumeration == displayed list")
+    return Computed([{"label": "orders", "value": list(got)}], tuple(got),
+                    search_bounds={"limit": limit})
 
 
-def _claim_case_tables(cfg: RunConfig, expected=None) -> Certificate:
-    expected = tables.CASE_EXPECTED if expected is None else expected
-    computed, ok = [], True
+def _claim_case_tables(cfg: RunConfig) -> Computed:
+    rows, observed, intrinsic = [], {}, True
     for case_id in sorted(CASE_FAMILIES):
-        exp = expected[case_id]
-        report = case_analysis(case_id, exp["threshold_n"])
-        match = (report.per_d_contribution == exp["per_d"]
-                 and report.omega_contribution == exp["omega"]
-                 and report.threshold_n == exp["threshold_n"]
-                 and report.threshold_desc == exp["threshold_desc"]
-                 and report.forced)
-        excluded_ok = all(v >= 1 for v in report.excluded_d_minima.values())
-        ok = ok and match and excluded_ok
-        computed.append({
-            "label": case_id,
-            "value": {
-                "per_d": report.per_d_contribution,
-                "omega": report.omega_contribution,
-                "threshold_n": report.threshold_n,
-                "threshold_desc": report.threshold_desc,
-                "excluded_d_minima": report.excluded_d_minima,
-            },
-        })
-    return Certificate("case_tables", {}, computed, PASS if ok else FAIL,
-                       {"cases": sorted(CASE_FAMILIES)}, expected=expected,
-                       bound_checked="per-d tables, omega terms, thresholds; "
-                                     "excluded d contribute >= 1")
+        # analysed at the published dimension, where the sum must be forced
+        report = case_analysis(case_id, tables.CASE_EXPECTED[case_id]["threshold_n"])
+        observed[case_id] = {
+            "per_d": report.per_d_contribution,
+            "omega": report.omega_contribution,
+            "threshold_n": report.threshold_n,
+            "threshold_desc": report.threshold_desc,
+        }
+        intrinsic = (intrinsic and report.forced
+                     and all(v >= 1 for v in report.excluded_d_minima.values()))
+        rows.append({"label": case_id,
+                     "value": {**observed[case_id],
+                               "excluded_d_minima": report.excluded_d_minima}})
+    return Computed(rows, observed, intrinsic=intrinsic,
+                    search_bounds={"cases": sorted(CASE_FAMILIES)})
 
 
-def _claim_dimension_coeffs(cfg: RunConfig, expected=None) -> Certificate:
-    expected = tables.DIMENSION_COEFF_EXPECTED if expected is None else expected
+def _claim_dimension_coeffs(cfg: RunConfig) -> Computed:
     recomputed = {d: (euler_phi(d) if euler_phi(d) <= 2 else euler_phi(d) // 2)
                   for d in DIMENSION_COEFF}
-    ok = recomputed == expected and DIMENSION_COEFF == expected
-    computed = [{"label": "coefficients", "value": recomputed}]
-    return Certificate("dimension_coefficients", {}, computed,
-                       PASS if ok else FAIL, {}, expected=expected,
-                       bound_checked="coeff(d) = phi(d) for phi <= 2, else phi(d)/2")
+    return Computed([{"label": "coefficients", "value": recomputed}], recomputed,
+                    intrinsic=recomputed == DIMENSION_COEFF)
 
 
-def _claim_omega_unsplit(cfg: RunConfig, expected=None) -> Certificate:
-    bound = Fraction(1) if expected is None else expected["bound"]
-    computed, ok = [], True
-    for r in (7, 14, 15, 20, 24, 30):
-        members = [a for a in units_mod(r) if a != 0]
-        value = min(
-            Fraction(sum((k - k1) % r for k in members if k != k1), r)
-            for k1 in members
-        )
-        ok = ok and value >= bound
-        computed.append({"label": f"full-orbit minimum, r={r}", "value": value})
-    return Certificate("omega_unsplit", {}, computed, PASS if ok else FAIL,
-                       {"r_set": [7, 14, 15, 20, 24, 30]},
-                       expected={"bound": bound},
-                       bound_checked="distinguished piece over a non-splitting "
-                                     "field contributes >= 1")
+def _claim_omega_unsplit(cfg: RunConfig) -> Computed:
+    r_set = [7, 14, 15, 20, 24, 30]
+    rows, values = [], []
+    for r in r_set:
+        members = full_orbit(r).members
+        value = min(_orbit_sum_at(members, k1, r) for k1 in members)
+        values.append(value)
+        rows.append({"label": f"full-orbit minimum, r={r}", "value": value})
+    return _sweep_minimum(rows, values, search_bounds={"r_set": r_set})
 
 
-def _claim_qr_patterns(cfg: RunConfig, expected=None) -> Certificate:
-    expected = tables.QR_PATTERNS_EXPECTED if expected is None else expected
-    computed, ok = [], True
-    for d_tag in (-1, -2, -3, -5, -7, -13):
-        pattern = qr_allowed_patterns(d_tag)
-        want = expected.get(d_tag, expected["generic"])
-        match = pattern.alpha_orders == want and pattern.exceptional_orders == want
-        ok = ok and match
-        computed.append({"label": f"D={d_tag}", "value": pattern.alpha_orders})
-    return Certificate("qr_patterns", {}, computed, PASS if ok else FAIL,
-                       {"fields": [-1, -2, -3, -5, -7, -13]}, expected=expected,
-                       bound_checked="allowed orders match the field class")
+def _claim_qr_patterns(cfg: RunConfig) -> Computed:
+    fields = [-1, -2, -3, -5, -7, -13]
+    patterns = {d_tag: qr_allowed_patterns(d_tag) for d_tag in fields}
+    return Computed([{"label": f"D={d}", "value": p.alpha_orders}
+                     for d, p in patterns.items()],
+                    patterns, search_bounds={"fields": fields})
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +268,14 @@ def _sweep_fields(cfg: RunConfig):
     if not fields:
         raise ConfigError(f"no squarefree D with |D| in {cfg.d_range} and D < -3")
     return fields
+
+
+def _suite(cfg: RunConfig, rows: List[Dict], failures: List[Dict],
+           **search_bounds) -> Computed:
+    """A property sweep over fields, observed by its number of failures."""
+    return Computed(rows + [{"label": "failures", "value": failures}],
+                    {"failures": len(failures)}, inputs={"seed": cfg.seed},
+                    search_bounds=search_bounds)
 
 
 def _random_unnormalized(rng, frame: cusp.CuspFrame):
@@ -320,8 +291,7 @@ def _random_unnormalized(rng, frame: cusp.CuspFrame):
     return p.h @ frame.q_matrix() @ p
 
 
-def _claim_cusp_suite(cfg: RunConfig, expected=None) -> Certificate:
-    expected = {"failures": 0} if expected is None else expected
+def _claim_cusp_suite(cfg: RunConfig) -> Computed:
     rng = random.Random(cfg.seed)
     fields = _sweep_fields(cfg)
     failures, checks = [], 0
@@ -355,7 +325,8 @@ def _claim_cusp_suite(cfg: RunConfig, expected=None) -> Certificate:
 
             w1 = cusp.random_wf_element(rng, frame)
             w2 = cusp.random_wf_element(rng, frame)
-            note(cusp.is_in_WF(w1.compose(w2), frame), "radical closure")
+            note(cusp.is_in_WF(w1, frame) and cusp.is_in_WF(w1.compose(w2), frame),
+                 "radical membership and closure")
             u0 = cusp.random_uf_element(rng, frame)
             note(cusp.is_in_UF(u0, frame), "centre membership")
             note(u0.compose(w1) == w1.compose(u0), "centrality in the radical")
@@ -368,16 +339,8 @@ def _claim_cusp_suite(cfg: RunConfig, expected=None) -> Certificate:
             rhs = cusp.apply_boundary_action(
                 g1, cusp.apply_boundary_action(g2, pt, frame), frame)
             note(lhs == rhs, "action compatibility with composition")
-    ok = len(failures) == expected["failures"]
-    computed = [
-        {"label": "checks", "value": checks},
-        {"label": "failures", "value": failures},
-    ]
-    return Certificate("cusp_suite", {"seed": cfg.seed},
-                       computed, PASS if ok else FAIL,
-                       {"fields": fields, "frames_per_field": FRAMES_PER_FIELD},
-                       expected=expected,
-                       bound_checked="all frame/group/action identities exact")
+    return _suite(cfg, [{"label": "checks", "value": checks}], failures,
+                  fields=fields, frames_per_field=FRAMES_PER_FIELD)
 
 
 def _brute_sigma(a: QElem, d_tag: int, max_steps: int = 10 ** 6) -> Fraction:
@@ -397,39 +360,29 @@ def _brute_sigma(a: QElem, d_tag: int, max_steps: int = 10 ** 6) -> Fraction:
     raise AssertionError("oracle scan exhausted")
 
 
-def _claim_sigma_oracle(cfg: RunConfig, expected=None) -> Certificate:
-    expected = {"failures": 0} if expected is None else expected
+def _claim_sigma_oracle(cfg: RunConfig) -> Computed:
     rng = random.Random(cfg.seed + 1)
     fields = _sweep_fields(cfg)
     failures, checks = [], 0
     for d_tag in fields:
         cases = [
-            QElem.of(d_tag, cusp.random_rational(rng, 4, 4), 0),  # f = 0
-            QElem.of(d_tag, 0, cusp.random_rational(rng, 4, 4)),  # e = 0
+            QElem.of(d_tag, cusp.random_rational(rng, 6, 5), 0),  # f = 0
+            QElem.of(d_tag, 0, cusp.random_rational(rng, 6, 5)),  # e = 0
         ]
         cases = [c for c in cases if not c.is_zero]
         while len(cases) < SIGMA_PER_FIELD + 2:
-            cases.append(cusp.random_qelem(rng, d_tag, 4, 4, nonzero=True))
+            cases.append(cusp.random_qelem(rng, d_tag, 5, 5, nonzero=True))
         for a in cases:
             checks += 1
             got = cusp.uf_lattice_generator(a, d_tag)
             want = _brute_sigma(a, d_tag)
             if got != want:
                 failures.append({"D": d_tag, "a": a, "got": got, "oracle": want})
-    ok = len(failures) == expected["failures"]
-    computed = [
-        {"label": "checks", "value": checks},
-        {"label": "failures", "value": failures},
-    ]
-    return Certificate("sigma_oracle", {"seed": cfg.seed}, computed,
-                       PASS if ok else FAIL,
-                       {"fields": fields, "per_field": SIGMA_PER_FIELD + 2},
-                       expected=expected,
-                       bound_checked="lattice generator == brute-force scan")
+    return _suite(cfg, [{"label": "checks", "value": checks}], failures,
+                  fields=fields, per_field=SIGMA_PER_FIELD + 2)
 
 
-def _claim_sigma_lcm(cfg: RunConfig, expected=None) -> Certificate:
-    expected = {"failures": 0} if expected is None else expected
+def _claim_sigma_lcm(cfg: RunConfig) -> Computed:
     rng = random.Random(cfg.seed + 2)
     fields = [d for d in _sweep_fields(cfg) if d % 4 in (2, 3)]
     failures, checks = [], 0
@@ -451,21 +404,11 @@ def _claim_sigma_lcm(cfg: RunConfig, expected=None) -> Certificate:
             got = cusp.uf_lattice_generator(a, d_tag)
             if got != formula:
                 failures.append({"D": d_tag, "a": a, "got": got, "formula": formula})
-    ok = len(failures) == expected["failures"]
-    computed = [
-        {"label": "checks", "value": checks},
-        {"label": "failures", "value": failures},
-    ]
-    return Certificate("sigma_lcm_formula", {"seed": cfg.seed}, computed,
-                       PASS if ok else FAIL,
-                       {"fields": fields, "per_field": SIGMA_PER_FIELD},
-                       expected=expected,
-                       bound_checked="generator == lcm(sp, rD'q)/(rD'p) "
-                                     "for D = 2,3 mod 4, e*f != 0")
+    return _suite(cfg, [{"label": "checks", "value": checks}], failures,
+                  fields=fields, per_field=SIGMA_PER_FIELD)
 
 
-def _claim_boundary_order2(cfg: RunConfig, expected=None) -> Certificate:
-    expected = {"failures": 0} if expected is None else expected
+def _claim_boundary_order2(cfg: RunConfig) -> Computed:
     rng = random.Random(cfg.seed + 3)
     fields = _sweep_fields(cfg)
     failures, checks, elements = [], 0, 0
@@ -498,64 +441,93 @@ def _claim_boundary_order2(cfg: RunConfig, expected=None) -> Certificate:
                 note(reid_tai_sum(es) >= 1, "non-reflection sum >= 1")
             note(cusp.boundary_divisor_fixed(g, frame) is False,
                  "no fixed boundary divisor")
-    ok = len(failures) == expected["failures"]
-    computed = [
-        {"label": "elements", "value": elements},
-        {"label": "checks", "value": checks},
-        {"label": "failures", "value": failures},
-    ]
-    return Certificate("boundary_order2", {"seed": cfg.seed}, computed,
-                       PASS if ok else FAIL,
-                       {"fields": fields, "per_field": ORDER2_PER_FIELD},
-                       expected=expected,
-                       bound_checked="congruences, exponents in {0,1/2}, "
-                                     "non-reflection sums >= 1, no fixed divisor")
+    return _suite(cfg, [{"label": "elements", "value": elements},
+                        {"label": "checks", "value": checks}], failures,
+                  fields=fields, per_field=ORDER2_PER_FIELD)
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
+def _no_failures(cfg: RunConfig):
+    return {"failures": 0}
+
+
 @dataclass(frozen=True)
 class Claim:
     claim_id: str
     description: str
-    run: Callable[[RunConfig, object], Certificate]
+    run: Callable[[RunConfig], Computed]  # the compute step
+    expected: Callable[[RunConfig], object]  # default expected value, or None
+    bound_checked: str
+    judge: Callable[[Computed, object], bool] = _matches
+    # report rows a FAIL adds, from the computation and the expected value
+    explain: Optional[Callable[[Computed, object], List[Dict]]] = None
     sweeps_fields: bool = False  # runs over the fields of cfg.d_range
 
 
 CLAIMS: Dict[str, Claim] = {
     c.claim_id: c for c in [
         Claim("cminred_table", "the eleven reduced shifted-orbit minima",
-              _claim_cminred),
+              _claim_cminred, lambda cfg: tables.CMINRED_EXPECTED,
+              "c_min_red(d) == expected[d]"),
         Claim("mc_ge_1_phi10", "orbit minima reach 1 for phi(r) >= 10",
-              _claim_mc_phi10),
+              _claim_mc_phi10,
+              lambda cfg: ({"min_value": tables.MC_PHI10_MIN}
+                           if _phi10_limit(cfg) == 300 else None),
+              "mc(r) >= 1 for phi(r) >= 10; sweep minimum matches the "
+              "recorded worst case"),
         Claim("mc_r_9_16_18", "orbit minima reach 1 for r = 9, 16, 18",
-              _claim_mc_9_16_18),
+              _claim_mc_9_16_18, lambda cfg: {"min_value": tables.MC_9_16_18_MIN},
+              "mc(r) >= 1 overall and per field; sweep minimum matches the "
+              "recorded worst case"),
         Claim("mc_phi4_restricted", "orbit minima reach 1 for phi(r) = 4, D < -3",
-              _claim_mc_phi4),
+              _claim_mc_phi4,
+              lambda cfg: {"min_value": tables.MC_PHI4_RESTRICTED_MIN},
+              "mc(r) >= 1 for phi(r) = 4, D < -3; sweep minimum matches the "
+              "recorded worst case"),
         Claim("mc_literal_reading", "both quantifier readings of mc agree",
-              _claim_mc_literal),
+              _claim_mc_literal, lambda cfg: {"mismatches": 0},
+              "both quantifier readings of mc agree"),
         Claim("exceptional_orders", "coarse-estimate enumeration matches tables",
-              _claim_exceptional),
+              _claim_exceptional,
+              lambda cfg: tables.expand_exceptional_families(cfg.r_limit or 10 ** 5),
+              "analytic-bound enumeration == family tables",
+              explain=_order_differences),
         Claim("small_d_list", "orders with small half-orbit sums",
-              _claim_small_d),
+              _claim_small_d,
+              lambda cfg: tuple(d for d in tables.SMALL_D_EXPECTED
+                                if d <= (cfg.d_limit or 10 ** 4)),
+              "enumeration == displayed list"),
         Claim("case_tables", "contribution tables and dimension thresholds",
-              _claim_case_tables),
+              _claim_case_tables, lambda cfg: tables.CASE_EXPECTED,
+              "per-d tables, omega terms, thresholds; excluded d contribute >= 1"),
         Claim("dimension_coefficients", "isotypic dimension coefficients",
-              _claim_dimension_coeffs),
+              _claim_dimension_coeffs, lambda cfg: tables.DIMENSION_COEFF_EXPECTED,
+              "coeff(d) = phi(d) for phi <= 2, else phi(d)/2"),
         Claim("omega_unsplit", "non-splitting fields contribute >= 1",
-              _claim_omega_unsplit),
+              _claim_omega_unsplit,
+              lambda cfg: {"min_value": tables.OMEGA_UNSPLIT_MIN},
+              "distinguished piece over a non-splitting field contributes "
+              ">= 1; sweep minimum matches the recorded worst case"),
         Claim("qr_patterns", "allowed quasi-reflection eigenvalue orders",
-              _claim_qr_patterns),
+              _claim_qr_patterns, lambda cfg: tables.QR_PATTERNS_EXPECTED,
+              "allowed orders match the field class", judge=_qr_patterns_allowed),
         Claim("cusp_suite", "frame normalization and stabiliser group laws",
-              _claim_cusp_suite, sweeps_fields=True),
+              _claim_cusp_suite, _no_failures,
+              "all frame/group/action identities exact", sweeps_fields=True),
         Claim("sigma_oracle", "lattice generator vs brute-force scan",
-              _claim_sigma_oracle, sweeps_fields=True),
+              _claim_sigma_oracle, _no_failures,
+              "lattice generator == brute-force scan", sweeps_fields=True),
         Claim("sigma_lcm_formula", "lattice generator vs closed formula",
-              _claim_sigma_lcm, sweeps_fields=True),
+              _claim_sigma_lcm, _no_failures,
+              "generator == lcm(sp, rD'q)/(rD'p) for D = 2,3 mod 4, e*f != 0",
+              sweeps_fields=True),
         Claim("boundary_order2", "2-torsion boundary elements behave",
-              _claim_boundary_order2, sweeps_fields=True),
+              _claim_boundary_order2, _no_failures,
+              "congruences, exponents in {0,1/2}, non-reflection sums >= 1, "
+              "no fixed divisor", sweeps_fields=True),
     ]
 }
 
@@ -638,13 +610,25 @@ def perturb_at(value, path):
     return type(value)(out) if isinstance(value, tuple) else out
 
 
+def certify(claim: Claim, result: Computed, expected) -> Certificate:
+    """Judge one computation of a claim against one expected value."""
+    ok = claim.judge(result, expected)
+    rows = result.rows
+    if not ok and claim.explain is not None:
+        rows = rows + claim.explain(result, expected)
+    return Certificate(claim.claim_id, result.inputs, rows, PASS if ok else FAIL,
+                       result.search_bounds, expected=expected,
+                       bound_checked=claim.bound_checked)
+
+
 def validate_config(cfg: RunConfig) -> None:
     """Reject a bad configuration before any claim runs.
 
     Raises UnknownClaimError for a selector that matches no claim and
     ConfigError for a |D| window with LO > HI, for a window without a field
-    to sweep when a selected claim sweeps fields, and for a report file in
-    a directory that does not exist.
+    to sweep when a selected claim sweeps fields, for ``perturb`` when a
+    selected claim has no expected value at this configuration, and for a
+    report file in a directory that does not exist.
     """
     claim_ids = select_claims(cfg.claims)
     lo, hi = cfg.d_range
@@ -652,20 +636,26 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"empty |D| window: LO = {lo} exceeds HI = {hi}")
     if any(CLAIMS[claim_id].sweeps_fields for claim_id in claim_ids):
         _sweep_fields(cfg)
+    if cfg.perturb:
+        for claim_id in claim_ids:
+            if CLAIMS[claim_id].expected(cfg) is None:
+                raise ConfigError(f"claim {claim_id} has no expected value to "
+                                  "perturb at this configuration")
     import os
     if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
         raise ConfigError(f"no directory to write the report {cfg.out!r} to")
 
 
 def run_claims(cfg: RunConfig) -> List[Certificate]:
+    """Compute each selected claim once and judge it against its default
+    expected value, or against a perturbed copy of it under ``cfg.perturb``."""
     certs = []
     for claim_id in select_claims(cfg.claims):
         claim = CLAIMS[claim_id]
-        expected = None
+        expected = claim.expected(cfg)
         if cfg.perturb:
-            base = claim.run(cfg, None).expected
-            expected = perturb_value(base)
-        certs.append(claim.run(cfg, expected))
+            expected = perturb_value(expected)
+        certs.append(certify(claim, claim.run(cfg), expected))
     return certs
 
 
@@ -675,7 +665,7 @@ def verify_claim(claim_id: str, params: Optional[Dict] = None,
 
     ``params`` may carry ``seed``, ``d_range`` and an ``expected`` override
     (the negative-control hook); ``search_bounds`` may carry ``r_limit`` and
-    ``d_limit``.
+    ``d_limit``.  The configuration is validated as the command line's is.
     """
     if claim_id not in CLAIMS:
         raise UnknownClaimError(f"unknown claim id {claim_id!r}")
@@ -683,9 +673,15 @@ def verify_claim(claim_id: str, params: Optional[Dict] = None,
     search_bounds = search_bounds or {}
     cfg = RunConfig(
         claims=(claim_id,),
-        d_range=tuple(params.get("d_range", (5, 15))),
+        d_range=tuple(params.get("d_range", RunConfig.d_range)),
         r_limit=search_bounds.get("r_limit"),
         d_limit=search_bounds.get("d_limit"),
-        seed=params.get("seed", 0),
+        seed=params.get("seed", RunConfig.seed),
     )
-    return CLAIMS[claim_id].run(cfg, params.get("expected"))
+    validate_config(cfg)
+    claim = CLAIMS[claim_id]
+    expected = params.get("expected")
+    if isinstance(expected, list):  # an enumeration given as a JSON list
+        expected = tuple(expected)
+    return certify(claim, claim.run(cfg),
+                   claim.expected(cfg) if expected is None else expected)

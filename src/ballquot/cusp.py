@@ -59,15 +59,6 @@ class CuspFrame:
             [self.a.conj(), z_row, zero],
         ])
 
-    def to_obj(self):
-        return {"n": self.n, "D": self.d, "a": self.a.to_obj(),
-                "B": self.b_mat.to_obj()}
-
-    @classmethod
-    def from_obj(cls, obj) -> "CuspFrame":
-        return cls(int(obj["n"]), int(obj["D"]), QElem.from_obj(obj["a"]),
-                   QMatrix.from_obj(obj["B"]))
-
 
 @dataclass(frozen=True)
 class BoundaryElement:
@@ -137,25 +128,13 @@ class BoundaryElement:
         return BoundaryElement(-self.u, -self.v, -self.w, -self.x_mat,
                                -self.y, -self.z)
 
-    def to_obj(self):
-        return {"u": self.u.to_obj(), "v": self.v.to_obj(), "w": self.w.to_obj(),
-                "X": self.x_mat.to_obj(), "y": self.y.to_obj(), "z": self.z.to_obj()}
-
-    @classmethod
-    def from_obj(cls, obj) -> "BoundaryElement":
-        return cls(QElem.from_obj(obj["u"]), QMatrix.from_obj(obj["v"]),
-                   QElem.from_obj(obj["w"]), QMatrix.from_obj(obj["X"]),
-                   QMatrix.from_obj(obj["y"]), QElem.from_obj(obj["z"]))
-
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """Chart coordinates (alpha, w) near the cusp; at_infinity marks the
-    boundary stratum where the torus coordinate vanishes."""
+    """Chart coordinates (alpha, w) near the cusp."""
 
     alpha: QElem
     wvec: QMatrix  # (n-1) x 1
-    at_infinity: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +310,13 @@ def uf_translation(frame: CuspFrame, x: Fraction) -> BoundaryElement:
 def apply_boundary_action(g: BoundaryElement, pt: BoundaryPoint,
                           frame: CuspFrame) -> BoundaryPoint:
     """Chart action alpha -> (alpha / conj(z) + v.w + w)/z, w -> (Xw + y)/z."""
-    if pt.at_infinity:
-        raise ValueError("finite-chart action needs a finite point")
     if not is_in_NF(g, frame):
         raise ValueError("element is not in the cusp stabiliser")
     zinv = g.z.inverse()
     alpha = zinv * (pt.alpha * g.z.conj().inverse()
                     + (g.v @ pt.wvec).scalar() + g.w)
     wnew = (g.x_mat @ pt.wvec + g.y).scale(zinv)
-    return BoundaryPoint(alpha, wnew, False)
-
-
-def divisor_action(g: BoundaryElement, wvec: QMatrix) -> QMatrix:
-    """Action on the boundary stratum: w -> (Xw + y)/z."""
-    return (g.x_mat @ wvec + g.y).scale(g.z.inverse())
+    return BoundaryPoint(alpha, wnew)
 
 
 def normalize_sign(g: BoundaryElement) -> BoundaryElement:

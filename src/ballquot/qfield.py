@@ -242,13 +242,6 @@ class QElem:
             head = "-"
         return f"{head}{rt}*sqrt({self.d})"
 
-    def to_obj(self):
-        return {"re": fmt_rational(self.re), "rt": fmt_rational(self.rt), "D": self.d}
-
-    @classmethod
-    def from_obj(cls, obj) -> "QElem":
-        return cls(int(obj["D"]), Fraction(obj["re"]), Fraction(obj["rt"]))
-
 
 _new = object.__new__
 _set_d = QElem.d.__set__
@@ -559,35 +552,11 @@ class QMatrix:
         scale = den ** n
         return _elem(d, Fraction(sign * prev[0], scale), Fraction(sign * prev[1], scale))
 
-    # -- serialization -----------------------------------------------------
-
-    def to_obj(self):
-        return {
-            "D": self.d,
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str_pair(self.at(i, j)) for j in range(self.cols)]
-                        for i in range(self.rows)],
-        }
-
-    @classmethod
-    def from_obj(cls, obj) -> "QMatrix":
-        d = int(obj["D"])
-        rows = [
-            [QElem(d, Fraction(re), Fraction(rt)) for re, rt in row]
-            for row in obj["entries"]
-        ]
-        return cls.from_rows(d, rows)
-
     def __str__(self):
         return "[" + "; ".join(
             ", ".join(str(self.at(i, j)) for j in range(self.cols))
             for i in range(self.rows)
         ) + "]"
-
-
-def str_pair(x: QElem):
-    return [fmt_rational(x.re), fmt_rational(x.rt)]
 
 
 def hermitian_adjoint(m: QMatrix) -> QMatrix:

@@ -280,12 +280,3 @@ def test_block_matrix_assembly():
     assert b.rows == b.cols == 4
     assert b.at(0, 3) == QElem.of(d, 7)
     assert b.at(1, 1) == QElem.one(d)
-
-
-def test_serialization_round_trip():
-    rng = random.Random(9)
-    x = rand_elem(rng, -7)
-    assert QElem.from_obj(x.to_obj()) == x
-    m = QMatrix.from_rows(-7, [[rand_elem(rng, -7) for _ in range(2)]
-                               for _ in range(2)])
-    assert QMatrix.from_obj(m.to_obj()) == m
