@@ -10,11 +10,13 @@ claim's intrinsic checks (such as every ``mc(r) >= 1``) hold.
 :func:`certify` joins the parts into a :class:`Certificate` with PASS/FAIL
 verdict, inputs, search bounds and witnesses, so one computation can be
 judged against many expected values; rationals are serialized in lowest
-terms, never as floats.
+terms, never as floats.  A claim that reads a search limit declares its
+default and accepted range once, as a :class:`Limit`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,9 +111,8 @@ def _render(x):
 
 
 def _matches(result: Computed, expected) -> bool:
-    """The intrinsic checks hold and the observed value is the expected one;
-    a configuration without an expected value is judged on the former."""
-    return result.intrinsic and (expected is None or result.observed == expected)
+    """The intrinsic checks hold and the observed value is the expected one."""
+    return result.intrinsic and result.observed == expected
 
 
 def _order_differences(result: Computed, expected) -> List[Dict]:
@@ -150,18 +151,12 @@ def _claim_cminred(cfg: RunConfig) -> Computed:
     return Computed(rows, observed, search_bounds={"d_values": sorted(observed)})
 
 
-def _phi10_limit(cfg: RunConfig) -> int:
-    # the sweep is quadratic in phi(r); a CLI-wide r_limit meant for the
-    # linear enumerations is capped here
-    return min(cfg.r_limit or 300, 500)
-
-
 def _claim_mc_phi10(cfg: RunConfig) -> Computed:
-    r_limit = _phi10_limit(cfg)
-    wits = [(r, mc_with_witness(r)) for r in range(3, r_limit + 1) if euler_phi(r) >= 10]
+    wits = [(r, mc_with_witness(r)) for r in range(3, cfg.r_limit + 1)
+            if euler_phi(r) >= 10]
     return _sweep_minimum([_mc_row(f"mc({r})", wit) for r, wit in wits],
-                          [wit.value for _, wit in wits], inputs={"r_limit": r_limit},
-                          search_bounds={"r_limit": r_limit, "phi_min": 10})
+                          [wit.value for _, wit in wits], inputs={"r_limit": cfg.r_limit},
+                          search_bounds={"r_limit": cfg.r_limit, "phi_min": 10})
 
 
 def _claim_mc_9_16_18(cfg: RunConfig) -> Computed:
@@ -190,26 +185,23 @@ def _claim_mc_phi4(cfg: RunConfig) -> Computed:
 
 
 def _claim_mc_literal(cfg: RunConfig) -> Computed:
-    r_limit = min(cfg.r_limit or 100, 300)
-    mismatches = [r for r in range(3, r_limit + 1)
+    mismatches = [r for r in range(3, cfg.r_limit + 1)
                   if reidtai.mc(r) != mc_literal_reading(r)]
     return Computed([{"label": "quantifier readings disagree at", "value": mismatches}],
-                    {"mismatches": len(mismatches)}, search_bounds={"r_limit": r_limit})
+                    {"mismatches": len(mismatches)}, search_bounds={"r_limit": cfg.r_limit})
 
 
 def _claim_exceptional(cfg: RunConfig) -> Computed:
-    limit = cfg.r_limit or 10 ** 5
-    got = enumerate_exceptional_orders(limit)
+    got = enumerate_exceptional_orders(cfg.r_limit)
     return Computed([{"label": "count", "value": len(got)},
                      {"label": "orders", "value": list(got)}],
-                    tuple(got), search_bounds={"limit": limit})
+                    tuple(got), search_bounds={"limit": cfg.r_limit})
 
 
 def _claim_small_d(cfg: RunConfig) -> Computed:
-    limit = cfg.d_limit or 10 ** 4
-    got = enumerate_small_d(limit)
+    got = enumerate_small_d(cfg.d_limit)
     return Computed([{"label": "orders", "value": list(got)}], tuple(got),
-                    search_bounds={"limit": limit})
+                    search_bounds={"limit": cfg.d_limit})
 
 
 def _claim_case_tables(cfg: RunConfig) -> Computed:
@@ -455,16 +447,36 @@ def _no_failures(cfg: RunConfig):
 
 
 @dataclass(frozen=True)
+class Limit:
+    """A search limit a claim reads from its configuration: the RunConfig
+    field, its value when none is given, and the accepted range [lo, hi]
+    (no upper end when hi is None)."""
+    option: str
+    default: int
+    lo: int
+    hi: Optional[int] = None
+
+    def accepts(self, value: int) -> bool:
+        return self.lo <= value and (self.hi is None or value <= self.hi)
+
+    def describe(self) -> str:
+        return f">= {self.lo}" if self.hi is None else f"in [{self.lo}, {self.hi}]"
+
+
+@dataclass(frozen=True)
 class Claim:
     claim_id: str
     description: str
-    run: Callable[[RunConfig], Computed]  # the compute step
-    expected: Callable[[RunConfig], object]  # default expected value, or None
+    # the compute step and the default expected value; both see the
+    # configuration with the claim's limit filled in (claim_config)
+    run: Callable[[RunConfig], Computed]
+    expected: Callable[[RunConfig], object]
     bound_checked: str
     judge: Callable[[Computed, object], bool] = _matches
     # report rows a FAIL adds, from the computation and the expected value
     explain: Optional[Callable[[Computed, object], List[Dict]]] = None
     sweeps_fields: bool = False  # runs over the fields of cfg.d_range
+    limit: Optional[Limit] = None
 
 
 CLAIMS: Dict[str, Claim] = {
@@ -473,11 +485,11 @@ CLAIMS: Dict[str, Claim] = {
               _claim_cminred, lambda cfg: tables.CMINRED_EXPECTED,
               "c_min_red(d) == expected[d]"),
         Claim("mc_ge_1_phi10", "orbit minima reach 1 for phi(r) >= 10",
-              _claim_mc_phi10,
-              lambda cfg: ({"min_value": tables.MC_PHI10_MIN}
-                           if _phi10_limit(cfg) == 300 else None),
+              _claim_mc_phi10, lambda cfg: {"min_value": tables.MC_PHI10_MIN},
               "mc(r) >= 1 for phi(r) >= 10; sweep minimum matches the "
-              "recorded worst case"),
+              "recorded worst case",
+              # from r = 11, the worst case; the sweep is quadratic in phi(r)
+              limit=Limit("r_limit", 300, 11, 500)),
         Claim("mc_r_9_16_18", "orbit minima reach 1 for r = 9, 16, 18",
               _claim_mc_9_16_18, lambda cfg: {"min_value": tables.MC_9_16_18_MIN},
               "mc(r) >= 1 overall and per field; sweep minimum matches the "
@@ -489,17 +501,18 @@ CLAIMS: Dict[str, Claim] = {
               "recorded worst case"),
         Claim("mc_literal_reading", "both quantifier readings of mc agree",
               _claim_mc_literal, lambda cfg: {"mismatches": 0},
-              "both quantifier readings of mc agree"),
+              "both quantifier readings of mc agree",
+              limit=Limit("r_limit", 100, 3, 300)),
         Claim("exceptional_orders", "coarse-estimate enumeration matches tables",
               _claim_exceptional,
-              lambda cfg: tables.expand_exceptional_families(cfg.r_limit or 10 ** 5),
+              lambda cfg: tables.expand_exceptional_families(cfg.r_limit),
               "analytic-bound enumeration == family tables",
-              explain=_order_differences),
+              explain=_order_differences, limit=Limit("r_limit", 10 ** 5, 3)),
         Claim("small_d_list", "orders with small half-orbit sums",
               _claim_small_d,
               lambda cfg: tuple(d for d in tables.SMALL_D_EXPECTED
-                                if d <= (cfg.d_limit or 10 ** 4)),
-              "enumeration == displayed list"),
+                                if d <= cfg.d_limit),
+              "enumeration == displayed list", limit=Limit("d_limit", 10 ** 4, 1)),
         Claim("case_tables", "contribution tables and dimension thresholds",
               _claim_case_tables, lambda cfg: tables.CASE_EXPECTED,
               "per-d tables, omega terms, thresholds; excluded d contribute >= 1"),
@@ -541,7 +554,11 @@ class ConfigError(ValueError):
 
 
 def select_claims(selectors) -> List[str]:
-    """Resolve comma/glob selectors against the registry, sorted by id."""
+    """Resolve comma/glob selectors against the registry, sorted by id.
+
+    Raises UnknownClaimError for a selector that matches no claim, and when
+    the selectors, being empty, select nothing at all.
+    """
     import fnmatch
     ids = sorted(CLAIMS)
     chosen = []
@@ -557,11 +574,13 @@ def select_claims(selectors) -> List[str]:
             if not matched:
                 raise UnknownClaimError(f"no claim matches selector {part!r}")
             chosen.extend(matched)
+    if not chosen:
+        raise UnknownClaimError("no claim selected")
     return sorted(set(chosen))
 
 
 def perturb_value(value):
-    """Return a slightly different expected structure (negative controls)."""
+    """Return a slightly different scalar (negative controls)."""
     if isinstance(value, Fraction):
         return value + Fraction(1, 997)
     if isinstance(value, bool):
@@ -572,15 +591,6 @@ def perturb_value(value):
         return value + "?"
     if isinstance(value, frozenset):
         return value | {max(value, default=0) + 1}
-    if isinstance(value, dict):
-        key = sorted(value, key=str)[0]
-        out = dict(value)
-        out[key] = perturb_value(out[key])
-        return out
-    if isinstance(value, (list, tuple)):
-        out = list(value)
-        out[0] = perturb_value(out[0])
-        return type(value)(out) if isinstance(value, tuple) else out
     raise TypeError(f"cannot perturb {type(value)!r}")
 
 
@@ -621,67 +631,67 @@ def certify(claim: Claim, result: Computed, expected) -> Certificate:
                        bound_checked=claim.bound_checked)
 
 
+def claim_config(claim: Claim, cfg: RunConfig) -> RunConfig:
+    """``cfg`` with the claim's limit set to its default where none is given."""
+    limit = claim.limit
+    if limit is None or getattr(cfg, limit.option) is not None:
+        return cfg
+    return dataclasses.replace(cfg, **{limit.option: limit.default})
+
+
 def validate_config(cfg: RunConfig) -> None:
     """Reject a bad configuration before any claim runs.
 
-    Raises UnknownClaimError for a selector that matches no claim and
-    ConfigError for a |D| window with LO > HI, for a window without a field
-    to sweep when a selected claim sweeps fields, for ``perturb`` when a
-    selected claim has no expected value at this configuration, and for a
-    report file in a directory that does not exist.
+    Raises UnknownClaimError when the selectors select no claim or one of
+    them matches none, and ConfigError for a |D| window with LO > HI, for a
+    window without a field to sweep when a selected claim sweeps fields, for
+    a limit outside the accepted range of a selected claim that reads it,
+    and for a report file in a directory that does not exist.
     """
-    claim_ids = select_claims(cfg.claims)
+    claims = [CLAIMS[claim_id] for claim_id in select_claims(cfg.claims)]
     lo, hi = cfg.d_range
     if lo > hi:
         raise ConfigError(f"empty |D| window: LO = {lo} exceeds HI = {hi}")
-    if any(CLAIMS[claim_id].sweeps_fields for claim_id in claim_ids):
+    if any(claim.sweeps_fields for claim in claims):
         _sweep_fields(cfg)
-    if cfg.perturb:
-        for claim_id in claim_ids:
-            if CLAIMS[claim_id].expected(cfg) is None:
-                raise ConfigError(f"claim {claim_id} has no expected value to "
-                                  "perturb at this configuration")
+    for claim in claims:
+        limit = claim.limit
+        value = None if limit is None else getattr(cfg, limit.option)
+        if value is not None and not limit.accepts(value):
+            raise ConfigError(f"claim {claim.claim_id} needs {limit.option} "
+                              f"{limit.describe()}, got {value}")
     import os
     if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
         raise ConfigError(f"no directory to write the report {cfg.out!r} to")
 
 
+def _certify_run(claim: Claim, cfg: RunConfig, expected=None) -> Certificate:
+    """Compute the claim once and judge it against ``expected`` (default:
+    the claim's own), perturbed at its first slot under ``cfg.perturb``."""
+    cfg = claim_config(claim, cfg)
+    if expected is None:
+        expected = claim.expected(cfg)
+    if cfg.perturb:
+        expected = perturb_at(expected, next(list_expected_slots(expected)))
+    return certify(claim, claim.run(cfg), expected)
+
+
 def run_claims(cfg: RunConfig) -> List[Certificate]:
     """Compute each selected claim once and judge it against its default
     expected value, or against a perturbed copy of it under ``cfg.perturb``."""
-    certs = []
-    for claim_id in select_claims(cfg.claims):
-        claim = CLAIMS[claim_id]
-        expected = claim.expected(cfg)
-        if cfg.perturb:
-            expected = perturb_value(expected)
-        certs.append(certify(claim, claim.run(cfg), expected))
-    return certs
+    return [_certify_run(CLAIMS[claim_id], cfg) for claim_id in select_claims(cfg.claims)]
 
 
-def verify_claim(claim_id: str, params: Optional[Dict] = None,
-                 search_bounds: Optional[Dict] = None) -> Certificate:
+def verify_claim(claim_id: str, expected=None, **fields) -> Certificate:
     """Run a single registered claim.
 
-    ``params`` may carry ``seed``, ``d_range`` and an ``expected`` override
-    (the negative-control hook); ``search_bounds`` may carry ``r_limit`` and
-    ``d_limit``.  The configuration is validated as the command line's is.
+    ``fields`` are those of :class:`RunConfig` (``seed``, ``d_range``,
+    ``r_limit``, ``d_limit``, ``perturb``, ...), validated as the command
+    line's are; ``expected`` replaces the claim's default expected value
+    (the negative-control hook).
     """
     if claim_id not in CLAIMS:
         raise UnknownClaimError(f"unknown claim id {claim_id!r}")
-    params = params or {}
-    search_bounds = search_bounds or {}
-    cfg = RunConfig(
-        claims=(claim_id,),
-        d_range=tuple(params.get("d_range", RunConfig.d_range)),
-        r_limit=search_bounds.get("r_limit"),
-        d_limit=search_bounds.get("d_limit"),
-        seed=params.get("seed", RunConfig.seed),
-    )
+    cfg = RunConfig(claims=(claim_id,), **fields)
     validate_config(cfg)
-    claim = CLAIMS[claim_id]
-    expected = params.get("expected")
-    if isinstance(expected, list):  # an enumeration given as a JSON list
-        expected = tuple(expected)
-    return certify(claim, claim.run(cfg),
-                   claim.expected(cfg) if expected is None else expected)
+    return _certify_run(CLAIMS[claim_id], cfg, expected)

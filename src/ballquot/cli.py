@@ -7,19 +7,18 @@ import json
 import sys
 from typing import List, Optional
 
-from . import tables
 from .certificates import (CLAIMS, Certificate, ConfigError, RunConfig,
                            UnknownClaimError, _render, run_claims,
                            validate_config)
 from .cyclo import InternalCheckError
-from .qfield import fmt_rational
-from .reidtai import (CASE_FAMILIES, case_analysis, c_min_red,
-                      enumerate_exceptional_orders, enumerate_small_d)
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
+
+# the claims show-tables runs: the reference tables of the paper
+TABLE_CLAIMS = ("cminred_table", "case_tables", "exceptional_orders", "small_d_list")
 
 
 def _positive_int(text: str) -> int:
@@ -27,6 +26,12 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
+
+
+def _limit_help(option: str) -> str:
+    return "search limit of " + ", ".join(
+        f"{c.claim_id} (default {c.limit.default}, {c.limit.describe()})"
+        for c in CLAIMS.values() if c.limit is not None and c.limit.option == option)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,9 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--claims", action="append", default=None,
                        help="comma separated claim ids or globs (default: all)")
     run_p.add_argument("--r-limit", type=_positive_int, default=None,
-                       help="order enumeration bound (claim-specific default)")
+                       help=_limit_help("r_limit"))
     run_p.add_argument("--d-limit", type=_positive_int, default=None,
-                       help="isotypic-order enumeration bound")
+                       help=_limit_help("d_limit"))
     run_p.add_argument("--d-range", type=int, nargs=2, default=(5, 15),
                        metavar=("LO", "HI"),
                        help="|D| window for the field sweeps (default 5 15)")
@@ -55,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="negative control: perturb expected values, "
                             "certificates must FAIL")
 
-    sub.add_parser("show-tables", help="print the reproduced reference tables")
+    sub.add_parser("show-tables", help="run the claims on the reference tables: "
+                                       + ", ".join(TABLE_CLAIMS))
     sub.add_parser("list-claims", help="list registered claim ids")
     return parser
 
@@ -74,6 +80,7 @@ def _text_report(certs: List[Certificate], cfg: RunConfig) -> str:
             if "witness" in item:
                 witness = f"  [witness {json.dumps(_render(item['witness']), sort_keys=True)}]"
             lines.append(f"  {item['label']} = {value}{witness}")
+        lines.append(f"  expected = {json.dumps(_render(cert.expected), sort_keys=True)}")
     n_pass = sum(1 for c in certs if c.passed())
     lines.append(f"summary: {len(certs)} claims, {n_pass} PASS, "
                  f"{len(certs) - n_pass} FAIL (seed={cfg.seed})")
@@ -123,48 +130,6 @@ def run_command(cfg: RunConfig) -> int:
     return EXIT_OK if all(c.passed() for c in certs) else EXIT_FAILURES
 
 
-def show_tables() -> str:
-    """Human-readable reproduction of every reference table."""
-    out = []
-
-    out.append("exceptional orders (coarse estimate below 1)")
-    computed = enumerate_exceptional_orders(10 ** 5)
-    expected = tables.expand_exceptional_families(10 ** 5)
-    out.append("  computed : " + ", ".join(map(str, computed)))
-    out.append("  expected : " + ", ".join(map(str, expected)))
-    out.append(f"  agreement: {tuple(computed) == tuple(expected)}")
-
-    out.append("")
-    out.append("orders with half-orbit sums below 1")
-    small = enumerate_small_d(10 ** 4)
-    out.append("  computed : " + ", ".join(map(str, small)))
-    out.append("  expected : " + ", ".join(map(str, tables.SMALL_D_EXPECTED)))
-    out.append(f"  agreement: {tuple(small) == tuple(tables.SMALL_D_EXPECTED)}")
-
-    out.append("")
-    out.append("reduced shifted-orbit minima")
-    for d in sorted(tables.CMINRED_EXPECTED, reverse=True):
-        got = c_min_red(d)
-        exp = tables.CMINRED_EXPECTED[d]
-        out.append(f"  c_min_red({d}) = {fmt_rational(got)}"
-                   f"  (expected {fmt_rational(exp)})")
-
-    for case_id in sorted(CASE_FAMILIES):
-        exp = tables.CASE_EXPECTED[case_id]
-        report = case_analysis(case_id, exp["threshold_n"])
-        out.append("")
-        out.append(f"case {case_id}: contributions")
-        for d in sorted(report.per_d_contribution):
-            got = report.per_d_contribution[d]
-            out.append(f"  {d} -> {fmt_rational(got)}"
-                       f"  (expected {fmt_rational(exp['per_d'][d])})")
-        out.append(f"  omega -> {fmt_rational(report.omega_contribution)}"
-                   f"  (expected {fmt_rational(exp['omega'])})")
-        out.append(f"  threshold: {report.threshold_desc}, i.e. n >= {report.threshold_n}"
-                   f"  (expected {exp['threshold_desc']}, n >= {exp['threshold_n']})")
-    return "\n".join(out) + "\n"
-
-
 def list_claims() -> str:
     width = max(len(c) for c in CLAIMS)
     return "\n".join(f"{claim_id.ljust(width)}  {CLAIMS[claim_id].description}"
@@ -175,8 +140,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "show-tables":
-        sys.stdout.write(show_tables())
-        return EXIT_OK
+        return run_command(RunConfig(claims=TABLE_CLAIMS))
     if args.command == "list-claims":
         sys.stdout.write(list_claims())
         return EXIT_OK

@@ -9,13 +9,7 @@ clocks.
 import time
 from fractions import Fraction as F
 
-from ballquot import tables
 from ballquot.certificates import CLAIMS, verify_claim
-from ballquot.cyclo import euler_phi
-from ballquot.reidtai import (DIMENSION_COEFF, c_min_red, case_analysis,
-                              enumerate_exceptional_orders, enumerate_small_d,
-                              mc, mc_for_field)
-from ballquot.qfield import is_squarefree
 
 FIELDS_7 = (-5, -6, -7, -10, -11, -13, -15)
 
@@ -25,82 +19,88 @@ def _report(index, name, ok):
     assert ok, f"criterion {index} ({name}) failed"
 
 
+# Criteria 01-06 run the registered claims and judge them against the
+# published values written out here, not against ballquot.tables.
+
+
 def test_criterion_01_cminred_values():
     t0 = time.monotonic()
     expected = {30: F(11, 15), 24: F(5, 6), 20: F(4, 5), 15: F(11, 15),
                 14: F(4, 7), 12: F(1, 3), 8: F(1, 4), 7: F(4, 7),
                 6: F(0), 4: F(0), 3: F(0)}
-    ok = all(c_min_red(d) == want for d, want in expected.items())
+    cert = verify_claim("cminred_table", expected=expected)
     elapsed = time.monotonic() - t0
+    ok = cert.passed() and cert.search_bounds["d_values"] == sorted(expected)
     _report(1, "c_min_red exact values", ok and elapsed < 5.0)
 
 
 def test_criterion_02_mc_bounds():
+    # each sweep checks mc(r) >= 1 at every r and field it visits, and its
+    # minimum against the recorded worst case
     t0 = time.monotonic()
-    ok = all(mc(r) >= 1 for r in range(3, 301) if euler_phi(r) >= 10)
-    ok = ok and all(mc(r) >= 1 for r in (9, 16, 18))
-    ok = ok and all(
-        mc_for_field(r, -k) >= 1
-        for r in (9, 16, 18)
-        for k in range(1, 1001) if is_squarefree(-k)
-    )
-    ok = ok and all(mc(r, d_filter=lambda D: D < -3) >= 1
-                    for r in (5, 8, 10, 12))
+    cert = verify_claim("mc_ge_1_phi10", expected={"min_value": F(14, 11)})
+    ok = cert.passed() and cert.search_bounds == {"r_limit": 300, "phi_min": 10}
+    cert = verify_claim("mc_r_9_16_18", expected={"min_value": F(1)})
+    ok = ok and cert.passed() and cert.search_bounds == {
+        "r_set": [9, 16, 18], "d_abs_limit": 1000}
+    cert = verify_claim("mc_phi4_restricted", expected={"min_value": F(6, 5)})
+    ok = ok and cert.passed() and cert.search_bounds == {"r_set": [5, 8, 10, 12]}
     elapsed = time.monotonic() - t0
     _report(2, "mc(r) >= 1 sweeps", ok and elapsed < 60.0)
 
 
 def test_criterion_03_exceptional_orders():
     t0 = time.monotonic()
-    got = enumerate_exceptional_orders(10 ** 5)
-    want = tables.expand_exceptional_families(10 ** 5)
+    # the three exceptional families of the paper, expanded up to 10^5
+    want = (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 16, 18, 20, 21, 22, 24,
+            26, 28, 30, 32, 34, 36, 38, 40, 42, 48, 50, 54, 60, 66, 70, 72, 78,
+            84, 90)
+    cert = verify_claim("exceptional_orders", expected=want)
     elapsed = time.monotonic() - t0
-    _report(3, "exceptional order enumeration", tuple(got) == tuple(want)
+    _report(3, "exceptional order enumeration",
+            cert.passed() and cert.search_bounds == {"limit": 10 ** 5}
             and elapsed < 30.0)
 
 
 def test_criterion_04_small_d_list():
     t0 = time.monotonic()
-    got = enumerate_small_d(10 ** 4)
     want = tuple(list(range(1, 11)) + [12, 14, 15, 16, 18, 20, 22, 24, 26, 28,
                                        30, 36, 40, 42, 48, 54, 60, 66, 84, 90])
+    cert = verify_claim("small_d_list", expected=want)
     elapsed = time.monotonic() - t0
-    _report(4, "small-order enumeration", tuple(got) == want and elapsed < 5.0)
+    _report(4, "small-order enumeration",
+            cert.passed() and cert.search_bounds == {"limit": 10 ** 4}
+            and elapsed < 5.0)
 
 
 def test_criterion_05_case_analysis():
-    ok = True
-    rep = case_analysis("PHI2", 7)
-    ok &= rep.per_d_contribution == {1: F(1, 6), 2: F(1, 6), 3: F(1, 3),
-                                     4: F(1, 2), 6: F(1, 3)}
-    ok &= rep.threshold_desc == "n-1>=6" and rep.threshold_n == 7
-
-    rep = case_analysis("R7_14", 8)
-    ok &= rep.per_d_contribution == {1: F(1, 14), 2: F(1, 14), 3: F(3, 7),
-                                     4: F(4, 7), 6: F(3, 7), 7: F(4, 7),
-                                     14: F(4, 7)}
-    ok &= rep.omega_contribution == F(4, 7)
-    ok &= rep.threshold_n == 8 and rep.forced
-
-    rep = case_analysis("D_MINUS5", 9)
-    ok &= rep.per_d_contribution[20] == F(4, 5)
-    ok &= rep.omega_contribution == F(4, 5)
-
-    rep = case_analysis("D_MINUS6", 8)
-    ok &= rep.per_d_contribution[24] == F(5, 6)
-    ok &= rep.omega_contribution == F(5, 6)
-
-    rep = case_analysis("D_MINUS15", 11)
-    ok &= rep.per_d_contribution[15] == F(11, 15)
-    ok &= rep.per_d_contribution[30] == F(11, 15)
-    ok &= rep.threshold_n == 11 and rep.forced
-    _report(5, "case tables and thresholds", bool(ok))
+    # every case is analysed at its threshold, where the claim also asks
+    # that the total is forced and that the excluded d contribute >= 1
+    common = {1: F(1, 30), 2: F(1, 30), 3: F(5, 12), 4: F(8, 15), 6: F(5, 12)}
+    expected = {
+        "PHI2": {"per_d": {1: F(1, 6), 2: F(1, 6), 3: F(1, 3), 4: F(1, 2),
+                           6: F(1, 3)},
+                 "omega": F(1, 3), "threshold_n": 7, "threshold_desc": "n-1>=6"},
+        "R7_14": {"per_d": {1: F(1, 14), 2: F(1, 14), 3: F(3, 7), 4: F(4, 7),
+                            6: F(3, 7), 7: F(4, 7), 14: F(4, 7)},
+                  "omega": F(4, 7), "threshold_n": 8, "threshold_desc": "n-2>=6"},
+        "D_MINUS5": {"per_d": {**common, 20: F(4, 5)},
+                     "omega": F(4, 5), "threshold_n": 9, "threshold_desc": "n-3>=6"},
+        "D_MINUS6": {"per_d": {**common, 24: F(5, 6)},
+                     "omega": F(5, 6), "threshold_n": 8, "threshold_desc": "n-3>=5"},
+        "D_MINUS15": {"per_d": {**common, 15: F(11, 15), 30: F(11, 15)},
+                      "omega": F(11, 15), "threshold_n": 11,
+                      "threshold_desc": "n-3>=8"},
+    }
+    cert = verify_claim("case_tables", expected=expected)
+    _report(5, "case tables and thresholds", cert.passed())
 
 
 def test_criterion_06_dimension_coefficients():
     want = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 7: 3, 8: 2, 12: 2, 14: 3,
             15: 4, 20: 4, 24: 4, 30: 4}
-    _report(6, "dimension-count coefficients", DIMENSION_COEFF == want)
+    cert = verify_claim("dimension_coefficients", expected=want)
+    _report(6, "dimension-count coefficients", cert.passed())
 
 
 def _rows(cert):

@@ -10,8 +10,6 @@ from ballquot.certificates import (CLAIMS, RunConfig, UnknownClaimError,
                                    verify_claim)
 from ballquot.cyclo import InternalCheckError
 
-FAST_CFG = RunConfig(r_limit=60, d_limit=200, d_range=(5, 7))
-
 
 def test_select_claims():
     assert select_claims(("all",)) == sorted(CLAIMS)
@@ -23,6 +21,9 @@ def test_select_claims():
         "cminred_table", "small_d_list"]
     with pytest.raises(UnknownClaimError):
         select_claims(("nonexistent",))
+    for empty in ((",",), ("",), ()):
+        with pytest.raises(UnknownClaimError):
+            select_claims(empty)
 
 
 def test_verify_claim_api():
@@ -39,8 +40,12 @@ def test_verify_claim_negative_control():
     import ballquot.tables as tables
     broken = dict(tables.CMINRED_EXPECTED)
     broken[30] = F(11, 15) + F(1, 1000)
-    cert = verify_claim("cminred_table", params={"expected": broken})
+    cert = verify_claim("cminred_table", expected=broken)
     assert cert.verdict == "FAIL"
+    # --perturb changes the first slot only, in the order of list_expected_slots
+    cert = verify_claim("cminred_table", perturb=True)
+    assert cert.verdict == "FAIL"
+    assert cert.expected == {**tables.CMINRED_EXPECTED, 12: F(1, 3) + F(1, 997)}
 
 
 def test_perturb_helpers():
@@ -165,14 +170,32 @@ def test_cli_show_tables(capsys):
     code = cli.main(["show-tables"])
     out = capsys.readouterr().out
     assert code == 0
-    # case table renderings
-    assert "7 -> 4/7" in out
-    assert "1 -> 1/6" in out
-    # the small-order list line ends with 84, 90
+    verdicts = [line for line in out.splitlines() if line.startswith("claim ")]
+    assert verdicts == [f"claim {claim_id}: PASS" for claim_id in sorted(cli.TABLE_CLAIMS)]
+    assert out.count("  expected = ") == 4
+    assert "summary: 4 claims, 4 PASS, 0 FAIL" in out
+    # case table renderings: R7_14 sends 7 to 4/7, PHI2 sends 1 to 1/6
+    case = {line.split(" = ")[0].strip(): json.loads(line.split(" = ", 1)[1])
+            for line in out.splitlines()
+            if line.startswith(("  R7_14 = ", "  PHI2 = "))}
+    assert case["R7_14"]["per_d"]["7"] == "4/7"
+    assert case["PHI2"]["per_d"]["1"] == "1/6"
+    # the small-order list ends with 84, 90
     line = next(l for l in out.splitlines()
-                if l.strip().startswith("computed : 1, 2, 3"))
-    assert line.rstrip().endswith("84, 90")
-    assert "c_min_red(30) = 11/15" in out
+                if l.startswith("  orders = [1, 2, 3"))
+    assert line.rstrip().endswith("84, 90]")
+    assert 'c_min_red(30) = "11/15"' in out
+
+
+def test_cli_show_tables_fails_on_a_perturbed_table(monkeypatch, capsys):
+    claim = CLAIMS["cminred_table"]
+    monkeypatch.setitem(CLAIMS, "cminred_table", dataclasses.replace(
+        claim, expected=lambda cfg: perturb_at(claim.expected(cfg), (30,))))
+    code = cli.main(["show-tables"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "claim cminred_table: FAIL" in out
+    assert '"30": "10982/14955"' in out  # 11/15 + 1/997
 
 
 def test_cli_text_report_to_stdout(capsys):
@@ -189,8 +212,14 @@ def test_cli_text_report_to_stdout(capsys):
     ["--claims", "sigma_*", "--d-range", "16", "16"],
     ["--claims", "boundary_order2", "--d-range", "7", "6"],
     ["--claims", "qr_patterns", "--out", "no/such/directory/report.json"],
-    # no recorded worst case below the canonical bound, so nothing to perturb
-    ["--claims", "mc_ge_1_phi10", "--r-limit", "100", "--perturb"],
+    ["--claims", ","],
+    ["--claims", ""],
+    # limits outside the range the selected claims accept
+    ["--claims", "exceptional_orders", "--r-limit", "2"],
+    ["--claims", "exceptional_orders", "--r-limit", "2", "--perturb"],
+    ["--claims", "mc_ge_1_phi10", "--r-limit", "5"],
+    ["--claims", "mc_literal_reading", "--r-limit", "1000"],
+    ["--claims", "all", "--r-limit", "1000"],
 ])
 def test_cli_bad_config_exits_2_before_any_claim_runs(argv, monkeypatch, capsys):
     from ballquot import certificates as certs_mod
@@ -205,6 +234,38 @@ def test_cli_bad_config_exits_2_before_any_claim_runs(argv, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_limit_below_the_full_bound_is_perturbed(capsys):
+    # every bound in [11, 500] has the recorded worst case 14/11 at r = 11
+    code = cli.main(["run", "--claims", "mc_ge_1_phi10", "--r-limit", "100",
+                     "--perturb"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "claim mc_ge_1_phi10: FAIL" in out
+    assert '  expected = {"min_value": "13969/10967"}' in out  # 14/11 + 1/997
+
+
+def test_bounds_show_the_limit_given(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = cli.main(["run", "--claims",
+                     "mc_ge_1_phi10,mc_literal_reading,exceptional_orders,small_d_list",
+                     "--r-limit", "11", "--d-limit", "1", "--format", "json",
+                     "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert code == 0
+    assert doc["config"]["r_limit"] == 11 and doc["config"]["d_limit"] == 1
+    bounds = {c["claim_id"]: c["bounds"] for c in doc["certificates"]}
+    assert bounds == {
+        "mc_ge_1_phi10": {"r_limit": 11, "phi_min": 10},
+        "mc_literal_reading": {"r_limit": 11},
+        "exceptional_orders": {"limit": 11},
+        "small_d_list": {"limit": 1},
+    }
+    expected = {c["claim_id"]: c["expected"] for c in doc["certificates"]}
+    assert expected["mc_ge_1_phi10"] == {"min_value": "14/11"}
+    assert expected["exceptional_orders"] == [3, 4, 5, 6, 7, 8, 9, 10, 11]
+    assert expected["small_d_list"] == [1]
 
 
 def test_cli_kernel_faults_exit_3(monkeypatch, capsys):

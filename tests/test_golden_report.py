@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ballquot.cli as cli
-from ballquot.certificates import (CLAIMS, RunConfig, certify,
+from ballquot.certificates import (CLAIMS, RunConfig, certify, claim_config,
                                    list_expected_slots, perturb_at)
 
 GOLDEN = Path(__file__).parent / "golden" / "run_all_d5_7.json"
@@ -56,7 +56,7 @@ def test_every_perturbed_slot_fails(golden_run):
     _, _, computed = golden_run
     for claim_id, claim in CLAIMS.items():
         (result,) = computed[claim_id]
-        expected = claim.expected(CFG)
+        expected = claim.expected(claim_config(claim, CFG))
         assert certify(claim, result, expected).verdict == "PASS", claim_id
         slots = list(list_expected_slots(expected))
         assert slots, claim_id
