@@ -103,12 +103,9 @@ class BoundaryElement:
         if mat.cols != npl or npl < 3:
             raise ValueError("boundary elements are square of size >= 3")
         m = npl - 2
-        for i in range(1, npl):
-            if not mat.at(i, 0).is_zero:
-                raise ValueError("matrix is not block upper-triangular")
-        for j in range(npl - 1):
-            if not mat.at(npl - 1, j).is_zero:
-                raise ValueError("matrix is not block upper-triangular")
+        if not (mat.submatrix(1, 0, npl - 1, 1).is_zero
+                and mat.submatrix(npl - 1, 0, 1, npl - 1).is_zero):
+            raise ValueError("matrix is not block upper-triangular")
         return cls(
             u=mat.at(0, 0),
             v=mat.submatrix(0, 1, 1, m),
@@ -206,7 +203,7 @@ def is_in_NF(g: BoundaryElement, frame: CuspFrame) -> bool:
     if x.h @ b @ x != b:
         return False
     vec = x.h @ b @ g.y + (g.v.h).scale(a * g.z)
-    if any(not e.is_zero for e in vec.entries):
+    if not vec.is_zero:
         return False
     scal = (g.y.h @ b @ g.y).scalar() \
         + g.z.conj() * a.conj() * g.w + g.z * a * g.w.conj()
@@ -224,7 +221,7 @@ def is_in_WF(g: BoundaryElement, frame: CuspFrame) -> bool:
     if g.x_mat != QMatrix.identity(d, frame.n - 1):
         return False
     vec = frame.b_mat @ g.y + (g.v.h).scale(frame.a)
-    if any(not e.is_zero for e in vec.entries):
+    if not vec.is_zero:
         return False
     scal = (g.y.h @ frame.b_mat @ g.y).scalar() \
         + frame.a.conj() * g.w + frame.a * g.w.conj()
@@ -235,9 +232,7 @@ def is_in_UF(g: BoundaryElement, frame: CuspFrame) -> bool:
     """Centre of the radical: v = y = 0 and w purely imaginary along a."""
     if not is_in_WF(g, frame):
         return False
-    if any(not e.is_zero for e in g.v.entries):
-        return False
-    if any(not e.is_zero for e in g.y.entries):
+    if not (g.v.is_zero and g.y.is_zero):
         return False
     return _real_part_vanishes(frame.a, g.w)
 
@@ -372,8 +367,8 @@ def check_qr_congruences(g: BoundaryElement, frame: CuspFrame,
     ident = QMatrix.identity(g.d, frame.n - 1)
     if g.x_mat @ g.x_mat != ident:
         raise ValueError("square of the element is not unipotent-central")
-    rel1 = all(e.is_zero for e in (g.v + g.v @ g.x_mat).entries)
-    rel2 = all(e.is_zero for e in (g.x_mat @ g.y + g.y).entries)
+    rel1 = (g.v + g.v @ g.x_mat).is_zero
+    rel2 = (g.x_mat @ g.y + g.y).is_zero
     corner = 2 * g.w + (g.v @ g.y).scalar()
     rel3 = in_sigma_lattice(corner, frame, sigma_gen)
     return rel1 and rel2 and rel3
@@ -389,12 +384,10 @@ def boundary_divisor_fixed(g: BoundaryElement, frame: CuspFrame) -> bool:
         raise ValueError("element is not in the cusp stabiliser")
     g = normalize_sign(g)
     ident = QMatrix.identity(g.d, frame.n - 1)
-    trivial = (g.x_mat == ident
-               and all(e.is_zero for e in g.y.entries)
-               and all(e.is_zero for e in g.v.entries))
+    trivial = g.x_mat == ident and g.y.is_zero and g.v.is_zero
     if trivial:
         raise ValueError("element is trivial modulo the centre")
-    return g.x_mat == ident and all(e.is_zero for e in g.y.entries)
+    return g.x_mat == ident and g.y.is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -2,30 +2,28 @@
 
 An element re + rt*sqrt(D) of Q(sqrt(D)), D < 0 squarefree, is a
 :class:`QElem`: the field tag D and two ``fractions.Fraction`` coordinates
-with respect to the basis (1, sqrt(D)).  A :class:`QMatrix` holds a tuple
-of such elements and provides hermitian adjoints, products, inverses,
-determinants and ranks.
+with respect to the basis (1, sqrt(D)).  A :class:`QMatrix` stores only
+integers: numerator pairs (a, b), standing for (a + b*sqrt(D)) / den, over
+one denominator den > 0, with gcd(den, all a, all b) = 1.  QElem entries
+are read by ``from_rows`` and built for callers by ``at``/``entries``.
 
-The matrix kernel computes on integers.  Each operation reads its entries
-once as integer numerator pairs (a, b), standing for a + b*sqrt(D), over one
-common denominator.  A product is then integer multiply-add.  Inversion,
-determinants and ranks use Bareiss's fraction-free elimination (Math. Comp.
-22, 1968) over the ring Z[sqrt(D)]: every intermediate entry is a minor of
-the integer matrix, so each division by the previous pivot p is exact and
-is carried out as multiplication by conj(p) followed by integer division
-by the norm p*conj(p).  Each output entry is built once, in lowest terms.
-No floating point is used anywhere.
+Every matrix operation computes on those integers and reduces its result
+once.  A sum is taken over the least common denominator and a product is
+integer multiply-add.  Inversion, determinants and ranks use Bareiss's
+fraction-free elimination (Math. Comp. 22, 1968) over Z[sqrt(D)]: every
+intermediate entry is a minor of the integer matrix, so each division by
+the previous pivot p is exact and is carried out as multiplication by
+conj(p) followed by integer division by the norm p*conj(p).  No floating
+point is used anywhere; a float coordinate is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -89,6 +87,8 @@ class QElem:
 
     def __init__(self, d: int, re: RationalLike, rt: RationalLike):
         check_field_tag(d)
+        if not (isinstance(re, (int, Fraction)) and isinstance(rt, (int, Fraction))):
+            raise TypeError(f"coordinates must be int or Fraction, got {re!r}, {rt!r}")
         _set_d(self, d)
         _set_re(self, re if type(re) is Fraction else Fraction(re))
         _set_rt(self, rt if type(rt) is Fraction else Fraction(rt))
@@ -145,10 +145,6 @@ class QElem:
     @property
     def is_zero(self) -> bool:
         return not (self.re or self.rt)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.rt == 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -244,6 +240,7 @@ class QElem:
 
 
 _new = object.__new__
+_setattr = object.__setattr__
 _set_d = QElem.d.__set__
 _set_re = QElem.re.__set__
 _set_rt = QElem.rt.__set__
@@ -271,13 +268,6 @@ def _numerators(entries):
         return 1, [q.numerator for q in res], [q.numerator for q in rts]
     return (den, [q.numerator * (den // k) for q, k in zip(res, re_dens)],
             [q.numerator * (den // k) for q, k in zip(rts, rt_dens)])
-
-
-def _from_numerators(d: int, den: int, re, rt) -> tuple:
-    """The entries (re[i] + rt[i]*sqrt(d)) / den, each built once."""
-    return tuple([_elem(d, Fraction(a, den) if a else _ZERO,
-                        Fraction(b, den) if b else _ZERO)
-                  for a, b in zip(re, rt)])
 
 
 def _bareiss_step(d: int, re, rt, r: int, c: int, rows, prev) -> None:
@@ -334,24 +324,29 @@ def in_ring_of_integers(x: QElem) -> bool:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Dense matrix over Q(sqrt(D)), row-major, immutable."""
+    """Dense matrix over Q(sqrt(D)), row-major, immutable: entry k is
+    (re[k] + rt[k]*sqrt(D)) / den in lowest terms, a unique form, so the
+    generated ``==`` and hash compare values."""
 
     d: int
     rows: int
     cols: int
-    entries: tuple
+    den: int
+    re: tuple
+    rt: tuple
 
     def __post_init__(self):
         check_field_tag(self.d)
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
+        if not len(self.re) == len(self.rt) == self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        for e in self.entries:
-            if not isinstance(e, QElem):
-                raise TypeError("entries must be QElem")
-            if e.d != self.d:
-                raise FieldTagError("entry field tag differs from matrix tag")
+        if self.den <= 0:
+            raise ValueError("the common denominator must be positive")
+        g = gcd(self.den, *self.re, *self.rt)
+        _setattr(self, "den", self.den // g)
+        _setattr(self, "re", tuple([a // g for a in self.re]))
+        _setattr(self, "rt", tuple([b // g for b in self.rt]))
 
     # -- constructors ------------------------------------------------------
 
@@ -364,18 +359,21 @@ class QMatrix:
             if len(row) != nc:
                 raise ValueError("ragged rows")
             for e in row:
-                ents.append(e if isinstance(e, QElem) else QElem.of(d, e))
-        return cls(d, nr, nc, tuple(ents))
+                if not isinstance(e, QElem):
+                    e = QElem.of(d, e)
+                elif e.d != d:
+                    raise FieldTagError("entry field tag differs from matrix tag")
+                ents.append(e)
+        return cls(d, nr, nc, *_numerators(ents))
 
     @classmethod
     def identity(cls, d: int, n: int) -> "QMatrix":
-        one, zero = QElem.one(d), QElem.zero(d)
-        return cls(d, n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
+        return cls(d, n, n, 1, [int(i == j) for i in range(n) for j in range(n)],
+                   [0] * (n * n))
 
     @classmethod
     def zero(cls, d: int, rows: int, cols: int) -> "QMatrix":
-        z = QElem.zero(d)
-        return cls(d, rows, cols, (z,) * (rows * cols))
+        return cls(d, rows, cols, 1, [0] * (rows * cols), [0] * (rows * cols))
 
     @classmethod
     def column(cls, d: int, entries: Sequence) -> "QMatrix":
@@ -387,64 +385,75 @@ class QMatrix:
 
     # -- access ------------------------------------------------------------
 
-    def at(self, i: int, j: int) -> QElem:
-        return self.entries[i * self.cols + j]
-
-    def row_list(self, i: int) -> list:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def to_rows(self) -> list:
-        return [self.row_list(i) for i in range(self.rows)]
-
-    def submatrix(self, row0: int, col0: int, nrows: int, ncols: int) -> "QMatrix":
-        rows = [
-            [self.at(i, j) for j in range(col0, col0 + ncols)]
-            for i in range(row0, row0 + nrows)
-        ]
-        return QMatrix.from_rows(self.d, rows)
+    def _entry(self, k: int) -> QElem:
+        a, b, den = self.re[k], self.rt[k], self.den
+        return _elem(self.d, Fraction(a, den) if a else _ZERO,
+                     Fraction(b, den) if b else _ZERO)
 
     @property
-    def is_scalar(self) -> bool:
-        return self.rows == 1 and self.cols == 1
+    def entries(self) -> tuple:
+        """The entries as QElems, row-major."""
+        return tuple([self._entry(k) for k in range(len(self.re))])
+
+    def at(self, i: int, j: int) -> QElem:
+        return self._entry(i * self.cols + j)
+
+    def to_rows(self) -> list:
+        nc = self.cols
+        return [[self._entry(k) for k in range(i, i + nc)]
+                for i in range(0, len(self.re), nc)]
+
+    def submatrix(self, row0: int, col0: int, nrows: int, ncols: int) -> "QMatrix":
+        if min(row0, col0) < 0 or row0 + nrows > self.rows or col0 + ncols > self.cols:
+            raise IndexError("submatrix out of range")
+        index = [i * self.cols + j for i in range(row0, row0 + nrows)
+                 for j in range(col0, col0 + ncols)]
+        return QMatrix(self.d, nrows, ncols, self.den,
+                       [self.re[k] for k in index], [self.rt[k] for k in index])
 
     def scalar(self) -> QElem:
-        if not self.is_scalar:
+        if self.rows != 1 or self.cols != 1:
             raise ValueError("not a 1x1 matrix")
-        return self.entries[0]
+        return self._entry(0)
+
+    @property
+    def is_zero(self) -> bool:
+        return not (any(self.re) or any(self.rt))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same_shape(self, other: "QMatrix"):
+    def _combine(self, other: "QMatrix", sign: int) -> "QMatrix":
+        """self + sign*other, over the least common denominator."""
         if self.d != other.d:
             raise FieldTagError("mixed field tags in matrix arithmetic")
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        return QMatrix(self.d, self.rows, self.cols, den,
+                       [f * a + g * b for a, b in zip(self.re, other.re)],
+                       [f * a + g * b for a, b in zip(self.rt, other.rt)])
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._check_same_shape(other)
-        return QMatrix(self.d, self.rows, self.cols,
-                       tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._check_same_shape(other)
-        return QMatrix(self.d, self.rows, self.cols,
-                       tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.d, self.rows, self.cols, tuple(-a for a in self.entries))
+        return QMatrix(self.d, self.rows, self.cols, self.den,
+                       [-a for a in self.re], [-b for b in self.rt])
 
     def scale(self, c) -> "QMatrix":
         c = c if isinstance(c, QElem) else QElem.of(self.d, c)
         if c.d != self.d:
             raise FieldTagError(f"mixed field tags {c.d} and {self.d}")
-        d = self.d
+        d, re, rt = self.d, self.re, self.rt
         cden, (cr,), (ct,) = _numerators((c,))
-        den, re, rt = _numerators(self.entries)
         dct = d * ct
-        return QMatrix(d, self.rows, self.cols, _from_numerators(
-            d, cden * den,
-            [cr * a + dct * b for a, b in zip(re, rt)],
-            [cr * b + ct * a for a, b in zip(re, rt)]))
+        return QMatrix(d, self.rows, self.cols, cden * self.den,
+                       [cr * a + dct * b for a, b in zip(re, rt)],
+                       [cr * b + ct * a for a, b in zip(re, rt)])
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.d != other.d:
@@ -452,8 +461,7 @@ class QMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
         d, k, p = self.d, self.cols, other.cols
-        aden, ar, at = _numerators(self.entries)
-        bden, br, bt = _numerators(other.entries)
+        ar, at, br, bt = self.re, self.rt, other.re, other.rt
         cols = [(br[j::p], bt[j::p]) for j in range(p)]
         re, rt = [], []
         for i in range(0, self.rows * k, k):
@@ -461,30 +469,29 @@ class QMatrix:
             for yr, yt in cols:
                 re.append(sum(map(mul, xr, yr)) + d * sum(map(mul, xt, yt)))
                 rt.append(sum(map(mul, xr, yt)) + sum(map(mul, xt, yr)))
-        return QMatrix(d, self.rows, p, _from_numerators(d, aden * bden, re, rt))
-
-    def hermitian_adjoint(self) -> "QMatrix":
-        ents = tuple(self.at(j, i).conj() for i in range(self.cols) for j in range(self.rows))
-        return QMatrix(self.d, self.cols, self.rows, ents)
+        return QMatrix(d, self.rows, p, self.den * other.den, re, rt)
 
     @property
     def h(self) -> "QMatrix":
-        return self.hermitian_adjoint()
+        """The hermitian adjoint, the conjugate transpose."""
+        nr, nc = self.rows, self.cols
+        index = [j * nc + i for i in range(nc) for j in range(nr)]
+        return QMatrix(self.d, nc, nr, self.den,
+                       [self.re[k] for k in index], [-self.rt[k] for k in index])
 
     def is_hermitian(self) -> bool:
-        return self.rows == self.cols and self == self.hermitian_adjoint()
+        return self.rows == self.cols and self == self.h
 
     # -- elimination -------------------------------------------------------
 
     def _integer_rows(self):
-        """(den, re, rt): den * self as rows of integer coordinate lists."""
-        den, re, rt = _numerators(self.entries)
-        nc = self.cols
-        return (den, [re[i:i + nc] for i in range(0, len(re), nc)],
-                [rt[i:i + nc] for i in range(0, len(rt), nc)])
+        """(re, rt): den * self as rows of integer coordinate lists."""
+        nc, re, rt = self.cols, self.re, self.rt
+        return ([list(re[i:i + nc]) for i in range(0, len(re), nc)],
+                [list(rt[i:i + nc]) for i in range(0, len(rt), nc)])
 
     def rank(self) -> int:
-        _, re, rt = self._integer_rows()
+        re, rt = self._integer_rows()
         nr = self.rows
         r, prev = 0, (1, 0)
         for c in range(self.cols):
@@ -506,8 +513,8 @@ class QMatrix:
     def inverse(self) -> "QMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        d, n = self.d, self.rows
-        den, re, rt = self._integer_rows()
+        d, n, den = self.d, self.rows, self.den
+        re, rt = self._integer_rows()
         for i in range(n):
             re[i] += [0] * n
             rt[i] += [0] * n
@@ -530,13 +537,13 @@ class QMatrix:
             for xr, xt in zip(re[i][n:], rt[i][n:]):
                 out_re.append((xr * pr - d * xt * pt) * den)
                 out_rt.append((xt * pr - xr * pt) * den)
-        return QMatrix(d, n, n, _from_numerators(d, norm, out_re, out_rt))
+        return QMatrix(d, n, n, norm, out_re, out_rt)
 
     def det(self) -> QElem:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         d, n = self.d, self.rows
-        den, re, rt = self._integer_rows()
+        re, rt = self._integer_rows()
         sign, prev = 1, (1, 0)
         for c in range(n):
             piv = next((i for i in range(c, n) if re[i][c] or rt[i][c]), None)
@@ -549,7 +556,7 @@ class QMatrix:
             _bareiss_step(d, re, rt, c, c, range(c + 1, n), prev)
             prev = (re[c][c], rt[c][c])
         # the last pivot is the determinant of den*self, up to the row swaps
-        scale = den ** n
+        scale = self.den ** n
         return _elem(d, Fraction(sign * prev[0], scale), Fraction(sign * prev[1], scale))
 
     def __str__(self):
@@ -559,28 +566,28 @@ class QMatrix:
         ) + "]"
 
 
-def hermitian_adjoint(m: QMatrix) -> QMatrix:
-    return m.hermitian_adjoint()
-
-
 def block_matrix(d: int, blocks: Iterable[Iterable]) -> QMatrix:
     """Assemble a matrix from a grid of QMatrix blocks and scalar QElems.
 
     QElem entries are treated as 1x1 blocks; block shapes must tile.
     """
-    rows_out = []
-    for block_row in blocks:
-        norm = [b if isinstance(b, QMatrix) else QMatrix.from_rows(d, [[b]])
-                for b in block_row]
-        height = norm[0].rows
-        if any(b.rows != height for b in norm):
+    grid = [[b if isinstance(b, QMatrix) else QMatrix.from_rows(d, [[b]])
+             for b in block_row] for block_row in blocks]
+    if any(b.d != d for block_row in grid for b in block_row):
+        raise FieldTagError("block field tag differs from matrix tag")
+    den = lcm(*(b.den for block_row in grid for b in block_row))
+    re, rt, widths = [], [], set()
+    for block_row in grid:
+        height = block_row[0].rows
+        if any(b.rows != height for b in block_row):
             raise ValueError("inconsistent block heights")
+        widths.add(sum(b.cols for b in block_row))
         for i in range(height):
-            row = []
-            for b in norm:
-                row.extend(b.row_list(i))
-            rows_out.append(row)
-    widths = {len(r) for r in rows_out}
+            for b in block_row:
+                f, lo, hi = den // b.den, i * b.cols, (i + 1) * b.cols
+                re += [f * a for a in b.re[lo:hi]]
+                rt += [f * a for a in b.rt[lo:hi]]
     if len(widths) != 1:
         raise ValueError("inconsistent block widths")
-    return QMatrix.from_rows(d, rows_out)
+    width = widths.pop()
+    return QMatrix(d, len(re) // width, width, den, re, rt)

@@ -13,15 +13,18 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.cols != b.rows:
         raise ValueError("inner dimension mismatch")
     zero = QElem.zero(a.d)
+    ea, eb = a.entries, b.entries
     out = []
     for i in range(a.rows):
         base = i * a.cols
+        row = []
         for j in range(b.cols):
             acc = zero
             for k in range(a.cols):
-                acc = acc + a.entries[base + k] * b.entries[k * b.cols + j]
-            out.append(acc)
-    return QMatrix(a.d, a.rows, b.cols, tuple(out))
+                acc = acc + ea[base + k] * eb[k * b.cols + j]
+            row.append(acc)
+        out.append(row)
+    return QMatrix.from_rows(a.d, out)
 
 
 def rank(m: QMatrix) -> int:

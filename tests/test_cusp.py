@@ -120,7 +120,7 @@ def test_uf_membership_examples():
     assert (frame.a.conj() * w + frame.a * w.conj()).is_zero
     # any element with y != 0 is not central
     g = cusp.random_wf_element(rng, frame)
-    if any(not e.is_zero for e in g.y.entries):
+    if not g.y.is_zero:
         assert not is_in_UF(g, frame)
 
 
@@ -135,6 +135,22 @@ def test_wf_construction_and_shape():
         h = cusp.random_nf_element(rng, frame)
         if h.x_mat != QMatrix.identity(d_tag, frame.n - 1):
             assert not is_in_WF(h, frame)
+
+
+def test_from_matrix_needs_block_upper_triangular_shape():
+    rng = random.Random(9)
+    frame = cusp.random_frame(rng, -7, 3)
+    g = cusp.random_nf_element(rng, frame)
+    grid = g.assemble().to_rows()
+    assert BoundaryElement.from_matrix(g.assemble()) == g
+    npl = len(grid)
+    # every entry of the first column below the corner, and of the last row
+    # before it, must be zero
+    for i, j in [(i, 0) for i in range(1, npl)] + [(npl - 1, j) for j in range(npl - 1)]:
+        bad = [row[:] for row in grid]
+        bad[i][j] = QElem.of(-7, 0, F(1, 3))
+        with pytest.raises(ValueError, match="block upper-triangular"):
+            BoundaryElement.from_matrix(QMatrix.from_rows(-7, bad))
 
 
 def test_nf_group_laws():

@@ -3,16 +3,21 @@
 The first oracle is the Fraction kernel in ``reference_kernel.py``: every
 product, inverse, determinant and rank must agree with it exactly, and
 print the same.  The second is sympy's matrices over QQ<sqrt(D)>, used
-where sympy is installed.
+where sympy is installed.  The operations that only move or combine stored
+integers (sums, negation, adjoint, slices, block assembly, identity, zero)
+are compared with entrywise QElem arithmetic, and every result must be in
+lowest terms, so that equal values are equal, hash-equal matrices.
 """
 
+import operator
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 import reference_kernel as ref
-from ballquot.qfield import QElem, QMatrix
+from ballquot.qfield import FieldTagError, QElem, QMatrix, block_matrix
 
 # both classes of D mod 4, and the fields with units beyond +-1
 FIELDS = (-1, -2, -3, -5, -6, -7, -15)
@@ -117,8 +122,114 @@ def test_scale_agrees_with_elementwise_products():
     for d in FIELDS:
         m = _matrix(rng, d, rng.choice(SIZES), rng.choice(SIZES))
         c = _elem(rng, d)
-        want = QMatrix(d, m.rows, m.cols, tuple(c * x for x in m.entries))
+        want = QMatrix.from_rows(d, [[c * x for x in row] for row in m.to_rows()])
         _same(m.scale(c), want)
+
+
+# ---------------------------------------------------------------------------
+# the stored form against entrywise QElem arithmetic
+
+
+def _entrywise(op, *ms):
+    """op applied entry by entry to the QElem rows of equal-shape matrices."""
+    return [[op(*xs) for xs in zip(*rows)] for rows in zip(*(m.to_rows() for m in ms))]
+
+
+def _lowest_terms(m):
+    assert m.den > 0 and gcd(m.den, *m.re, *m.rt) == 1
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_sums_negation_and_adjoint_agree_with_entrywise_arithmetic(d):
+    rng = random.Random(6000 + d)
+    for _ in range(20):
+        rows, cols = rng.choice(SIZES), rng.choice(SIZES)
+        a, b = _matrix(rng, d, rows, cols), _matrix(rng, d, rows, cols)
+        assert (a + b).to_rows() == _entrywise(operator.add, a, b)
+        assert (a - b).to_rows() == _entrywise(operator.sub, a, b)
+        assert (-a).to_rows() == _entrywise(operator.neg, a)
+        grid = a.to_rows()
+        assert a.h.to_rows() == [[grid[i][j].conj() for i in range(rows)]
+                                 for j in range(cols)]
+        assert a.is_zero == all(x.is_zero for row in grid for x in row)
+        assert (a - a).is_zero
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_submatrix_and_block_matrix_agree_with_entrywise_slicing(d):
+    rng = random.Random(7000 + d)
+    for _ in range(20):
+        rows, cols = rng.choice(SIZES), rng.choice(SIZES)
+        m = _matrix(rng, d, rows, cols)
+        r0, c0 = rng.randrange(rows), rng.randrange(cols)
+        nr, nc = rng.randint(1, rows - r0), rng.randint(1, cols - c0)
+        assert m.submatrix(r0, c0, nr, nc).to_rows() == [
+            row[c0:c0 + nc] for row in m.to_rows()[r0:r0 + nr]]
+        for bad in ((r0, c0, rows - r0 + 1, nc), (0, c0, 1, cols - c0 + 1),
+                    (-1, c0, 1, nc), (r0, -1, nr, 1)):
+            with pytest.raises(IndexError):
+                m.submatrix(*bad)
+        # a grid of blocks, some 1x1 blocks given as a bare QElem
+        heights = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        blocks = [[_matrix(rng, d, h, w) for w in widths] for h in heights]
+        spec = [[b.scalar() if b.rows == b.cols == 1 and rng.random() < 0.5 else b
+                 for b in row] for row in blocks]
+        want = [sum((b.to_rows()[i] for b in row), [])
+                for row in blocks for i in range(row[0].rows)]
+        assert block_matrix(d, spec).to_rows() == want
+
+
+def test_identity_zero_and_is_zero_agree_with_qelem_constants():
+    for d in FIELDS:
+        one, zero = QElem.one(d), QElem.zero(d)
+        assert not QMatrix.from_rows(d, [[0, QElem.sqrt_d(d)]]).is_zero
+        assert not QMatrix.from_rows(d, [[F(1, 7), 0]]).is_zero
+        for n in SIZES:
+            assert QMatrix.identity(d, n).to_rows() == [
+                [one if i == j else zero for j in range(n)] for i in range(n)]
+            assert QMatrix.zero(d, n, n + 1).to_rows() == [[zero] * (n + 1)] * n
+            assert QMatrix.zero(d, n, n + 1).is_zero
+            assert not QMatrix.identity(d, n).is_zero
+
+
+def test_every_result_is_in_lowest_terms_and_equal_values_hash_equal():
+    rng = random.Random(8000)
+    for d in FIELDS:
+        for n in SIZES:
+            m, k = _matrix(rng, d, n, n), _matrix(rng, d, n, n)
+            results = [m, m + k, m - k, m + m, -m, m.h, m @ k, m.scale(F(2, 3)),
+                       m.scale(_elem(rng, d)), m.submatrix(0, 0, n, 1),
+                       block_matrix(d, [[m, k]]), QMatrix.identity(d, n),
+                       QMatrix.zero(d, n, n), m - m]
+            if not m.det().is_zero:
+                results.append(m.inverse())
+                ident = m @ m.inverse()
+                assert ident == QMatrix.identity(d, n)
+                assert hash(ident) == hash(QMatrix.identity(d, n))
+            for r in results:
+                _lowest_terms(r)
+            for got, want in ((-(-m), m), ((m + m) - m, m),
+                              (m.scale(2).scale(F(1, 2)), m), (m.h.h, m),
+                              (m - m, QMatrix.zero(d, n, n))):
+                assert got == want and hash(got) == hash(want)
+    # the constructor reduces what it is given
+    assert QMatrix(-1, 1, 2, 6, (4, 2), (0, -8)) == QMatrix(-1, 1, 2, 3, (2, 1), (0, -4))
+
+
+def test_stored_form_checks_tags_and_shapes():
+    with pytest.raises(FieldTagError):
+        QMatrix.from_rows(-5, [[QElem.one(-5), QElem.one(-7)]])
+    with pytest.raises(FieldTagError):
+        block_matrix(-5, [[QMatrix.identity(-5, 1), QMatrix.identity(-7, 1)]])
+    with pytest.raises(FieldTagError):
+        QMatrix.identity(-5, 2) + QMatrix.identity(-7, 2)
+    with pytest.raises(ValueError):
+        QMatrix.identity(-5, 2) - QMatrix.zero(-5, 2, 1)
+    for bad in ((-1, 1, 1, 0, (1,), (0,)), (-1, 1, 1, -2, (1,), (0,)),
+                (-1, 1, 2, 1, (1,), (0,)), (-4, 1, 1, 1, (1,), (0,))):
+        with pytest.raises(ValueError):
+            QMatrix(*bad)
 
 
 # ---------------------------------------------------------------------------

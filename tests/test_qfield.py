@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from ballquot.qfield import (FieldTagError, QElem, QMatrix, block_matrix,
-                             conj, fmt_rational, frac, hermitian_adjoint,
-                             in_ring_of_integers, is_squarefree, qinv)
+                             conj, fmt_rational, frac, in_ring_of_integers,
+                             is_squarefree, qinv)
 
 FIELDS = (-1, -2, -3, -5, -6, -7, -11, -15)
 
@@ -51,6 +51,16 @@ def test_construction_rejects_bad_tags():
     for bad in (0, 5, -4, -12):
         with pytest.raises(ValueError):
             QElem.of(bad, 1)
+
+
+def test_float_coordinates_are_refused():
+    # 0.1 as a Fraction would be 3602879701896397/36028797018963968
+    for make in (lambda: QElem(-1, 0.1, 0), lambda: QElem(-1, 0, 0.5),
+                 lambda: QElem.of(-1, 0.5), lambda: QMatrix.from_rows(-1, [[0.5]]),
+                 lambda: QMatrix.identity(-1, 2).scale(0.5),
+                 lambda: QElem.one(-1) + 0.5):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_mixed_tags_error():
@@ -212,9 +222,9 @@ def test_in_ring_closure():
 
 def test_hermitian_adjoint_examples():
     ident = QMatrix.identity(-5, 3)
-    assert hermitian_adjoint(ident) == ident
+    assert ident.h == ident
     row = QMatrix.row(-1, [QElem.sqrt_d(-1), QElem.one(-1)])
-    col = hermitian_adjoint(row)
+    col = row.h
     assert col.rows == 2 and col.cols == 1
     assert col.at(0, 0) == -QElem.sqrt_d(-1)
     assert col.at(1, 0) == QElem.one(-1)
