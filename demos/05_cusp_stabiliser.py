@@ -20,9 +20,15 @@ print("== a random frame over Q(sqrt(-7)) and its stabiliser ==")
 frame = cusp.random_frame(rng, -7, 3)
 print("a =", frame.a, "  B =", frame.b_mat)
 g = cusp.random_nf_element(rng, frame)
+# an element is stored as its block upper-triangular matrix (u v w / 0 X y /
+# 0 0 z); u, v, w, x_mat, y and z are read-only slices of it
+print("element :", g.mat)
+print("block X :", g.x_mat, "  block z:", g.z)
 print("element in the stabiliser?", cusp.is_in_NF(g, frame))
 print("preserves the form?      ",
-      g.assemble().h @ frame.q_matrix() @ g.assemble() == frame.q_matrix())
+      g.mat.h @ frame.q_matrix() @ g.mat == frame.q_matrix())
+print("g * g^-1 is the identity?",
+      g.compose(g.inverse()).mat == QMatrix.identity(-7, frame.n + 1))
 w = cusp.random_wf_element(rng, frame)
 u = cusp.random_uf_element(rng, frame)
 print("radical element?", cusp.is_in_WF(w, frame),

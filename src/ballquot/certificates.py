@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import cusp, reidtai, tables
 from .cyclo import euler_phi, full_orbit
-from .qfield import QElem, QMatrix, block_matrix, fmt_rational, in_ring_of_integers, is_squarefree
+from .qfield import QElem, QMatrix, fmt_rational, in_ring_of_integers, is_squarefree
 from .reidtai import (CASE_FAMILIES, DIMENSION_COEFF, EigenSystem,
                       _orbit_sum_at, c_min_red_with_witness, case_analysis,
                       enumerate_exceptional_orders, enumerate_small_d,
@@ -274,12 +274,9 @@ def _random_unnormalized(rng, frame: cusp.CuspFrame):
     """P^H Q P for a random flag-compatible unipotent P: keeps the zero
     pattern and the (a, B) data while scrambling the rest."""
     d, m = frame.d, frame.n - 1
-    p = block_matrix(d, [
-        [QElem.one(d), cusp.random_vector(rng, d, m).h, cusp.random_qelem(rng, d)],
-        [QMatrix.zero(d, m, 1), QMatrix.identity(d, m),
-         cusp.random_vector(rng, d, m)],
-        [QElem.zero(d), QMatrix.zero(d, 1, m), QElem.one(d)],
-    ])
+    p = cusp.BoundaryElement.from_blocks(
+        QElem.one(d), cusp.random_vector(rng, d, m).h, cusp.random_qelem(rng, d),
+        QMatrix.identity(d, m), cusp.random_vector(rng, d, m), QElem.one(d)).mat
     return p.h @ frame.q_matrix() @ p
 
 
@@ -312,8 +309,7 @@ def _claim_cusp_suite(cfg: RunConfig) -> Computed:
                  "membership of constructed elements")
             note(cusp.is_in_NF(g1.compose(g2), frame), "closure under product")
             note(cusp.is_in_NF(g1.inverse(), frame), "closure under inverse")
-            gm = g1.assemble()
-            note(gm.h @ q @ gm == q, "form preservation")
+            note(g1.mat.h @ q @ g1.mat == q, "form preservation")
 
             w1 = cusp.random_wf_element(rng, frame)
             w2 = cusp.random_wf_element(rng, frame)

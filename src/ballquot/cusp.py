@@ -13,6 +13,7 @@ induced action on the tangent space at a fixed boundary point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
@@ -62,68 +63,70 @@ class CuspFrame:
 
 @dataclass(frozen=True)
 class BoundaryElement:
-    """Block upper-triangular element (u v w / 0 X y / 0 0 z)."""
+    """Block upper-triangular element (u v w / 0 X y / 0 0 z), stored as its
+    assembled matrix; the blocks are read-only slices of it."""
 
-    u: QElem
-    v: QMatrix  # 1 x (n-1)
-    w: QElem
-    x_mat: QMatrix  # (n-1) x (n-1)
-    y: QMatrix  # (n-1) x 1
-    z: QElem
+    mat: QMatrix
 
     def __post_init__(self):
-        d = self.u.d
-        if any(t.d != d for t in (self.v, self.w, self.x_mat, self.y, self.z)):
-            raise ValueError("field tags of element blocks disagree")
-        m = self.x_mat.rows
-        if self.x_mat.cols != m or self.v.rows != 1 or self.v.cols != m \
-                or self.y.rows != m or self.y.cols != 1:
-            raise ValueError("inconsistent block shapes")
-
-    @property
-    def d(self) -> int:
-        return self.u.d
-
-    @property
-    def size(self) -> int:
-        return self.x_mat.rows + 2
-
-    def assemble(self) -> QMatrix:
-        d = self.d
-        m = self.x_mat.rows
-        return block_matrix(d, [
-            [self.u, self.v, self.w],
-            [QMatrix.zero(d, m, 1), self.x_mat, self.y],
-            [QElem.zero(d), QMatrix.zero(d, 1, m), self.z],
-        ])
-
-    @classmethod
-    def from_matrix(cls, mat: QMatrix) -> "BoundaryElement":
-        npl = mat.rows
+        mat, npl = self.mat, self.mat.rows
         if mat.cols != npl or npl < 3:
             raise ValueError("boundary elements are square of size >= 3")
-        m = npl - 2
         if not (mat.submatrix(1, 0, npl - 1, 1).is_zero
                 and mat.submatrix(npl - 1, 0, 1, npl - 1).is_zero):
             raise ValueError("matrix is not block upper-triangular")
-        return cls(
-            u=mat.at(0, 0),
-            v=mat.submatrix(0, 1, 1, m),
-            w=mat.at(0, npl - 1),
-            x_mat=mat.submatrix(1, 1, m, m),
-            y=mat.submatrix(1, npl - 1, m, 1),
-            z=mat.at(npl - 1, npl - 1),
-        )
+
+    @classmethod
+    def from_blocks(cls, u: QElem, v: QMatrix, w: QElem, x_mat: QMatrix,
+                    y: QMatrix, z: QElem) -> "BoundaryElement":
+        d, m = u.d, x_mat.rows
+        return cls(block_matrix(d, [
+            [u, v, w],
+            [QMatrix.zero(d, m, 1), x_mat, y],
+            [QElem.zero(d), QMatrix.zero(d, 1, m), z],
+        ]))
+
+    @property
+    def d(self) -> int:
+        return self.mat.d
+
+    @property
+    def size(self) -> int:
+        return self.mat.rows
+
+    @cached_property
+    def u(self) -> QElem:
+        return self.mat.at(0, 0)
+
+    @cached_property
+    def v(self) -> QMatrix:  # 1 x (n-1)
+        return self.mat.submatrix(0, 1, 1, self.size - 2)
+
+    @cached_property
+    def w(self) -> QElem:
+        return self.mat.at(0, self.size - 1)
+
+    @cached_property
+    def x_mat(self) -> QMatrix:  # (n-1) x (n-1)
+        m = self.size - 2
+        return self.mat.submatrix(1, 1, m, m)
+
+    @cached_property
+    def y(self) -> QMatrix:  # (n-1) x 1
+        return self.mat.submatrix(1, self.size - 1, self.size - 2, 1)
+
+    @cached_property
+    def z(self) -> QElem:
+        return self.mat.at(self.size - 1, self.size - 1)
 
     def compose(self, other: "BoundaryElement") -> "BoundaryElement":
-        return BoundaryElement.from_matrix(self.assemble() @ other.assemble())
+        return BoundaryElement(self.mat @ other.mat)
 
     def inverse(self) -> "BoundaryElement":
-        return BoundaryElement.from_matrix(self.assemble().inverse())
+        return BoundaryElement(self.mat.inverse())
 
     def __neg__(self) -> "BoundaryElement":
-        return BoundaryElement(-self.u, -self.v, -self.w, -self.x_mat,
-                               -self.y, -self.z)
+        return BoundaryElement(-self.mat)
 
 
 @dataclass(frozen=True)
@@ -169,11 +172,9 @@ def normalize_cusp_basis(qprime: QMatrix, n: int):
     chc = (c.h @ b_inv @ c).scalar()
     r_prime = (dd - chc) * QElem.of(d, Fraction(-1, 2)) * a.conj().inverse()
     m = n - 1
-    n_mat = block_matrix(d, [
-        [QElem.one(d), QMatrix.zero(d, 1, m), r_prime],
-        [QMatrix.zero(d, m, 1), QMatrix.identity(d, m), r],
-        [QElem.zero(d), QMatrix.zero(d, 1, m), QElem.one(d)],
-    ])
+    n_mat = BoundaryElement.from_blocks(
+        QElem.one(d), QMatrix.zero(d, 1, m), r_prime,
+        QMatrix.identity(d, m), r, QElem.one(d)).mat
     frame = CuspFrame(n, d, a, b)
     result = n_mat.h @ qprime @ n_mat
     if result != frame.q_matrix():
@@ -292,10 +293,9 @@ def uf_translation(frame: CuspFrame, x: Fraction) -> BoundaryElement:
     """The central element translating the torus coordinate by x*a*sqrt(D)."""
     d, m = frame.d, frame.n - 1
     w = frame.a * QElem.sqrt_d(d) * QElem.of(d, x)
-    return BoundaryElement(
-        u=QElem.one(d), v=QMatrix.zero(d, 1, m), w=w,
-        x_mat=QMatrix.identity(d, m), y=QMatrix.zero(d, m, 1), z=QElem.one(d),
-    )
+    return BoundaryElement.from_blocks(
+        QElem.one(d), QMatrix.zero(d, 1, m), w,
+        QMatrix.identity(d, m), QMatrix.zero(d, m, 1), QElem.one(d))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ def nf_element(frame: CuspFrame, x_mat: QMatrix, y: QMatrix, z: QElem,
     w = beta * QElem.of(d, Fraction(-1, 2)) * (z.conj() * a.conj()).inverse() \
         + z * a * QElem.sqrt_d(d) * QElem.of(d, w_shift)
     u = z.conj().inverse()
-    return BoundaryElement(u=u, v=v, w=w, x_mat=x_mat, y=y, z=z)
+    return BoundaryElement.from_blocks(u, v, w, x_mat, y, z)
 
 
 def random_nf_element(rng, frame: CuspFrame) -> BoundaryElement:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -9,17 +10,14 @@ from ballquot.cusp import (BoundaryElement, BoundaryPoint, CuspFrame,
                            boundary_tangent_exponents, check_qr_congruences,
                            is_in_NF, is_in_UF, is_in_WF, normalize_cusp_basis,
                            sigma_element, uf_lattice_generator, uf_translation)
-from ballquot.qfield import QElem, QMatrix, in_ring_of_integers
+from ballquot.qfield import FieldTagError, QElem, QMatrix, in_ring_of_integers
 from ballquot.reidtai import is_quasi_reflection, reid_tai_sum
 
 FIELDS = (-5, -6, -7, -10, -11, -13, -15)
 
 
 def identity_element(frame):
-    d, m = frame.d, frame.n - 1
-    return BoundaryElement(QElem.one(d), QMatrix.zero(d, 1, m), QElem.zero(d),
-                           QMatrix.identity(d, m), QMatrix.zero(d, m, 1),
-                           QElem.one(d))
+    return BoundaryElement(QMatrix.identity(frame.d, frame.n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +59,10 @@ def test_normalize_random_frames_property():
         n = rng.choice((2, 3, 4))
         frame = cusp.random_frame(rng, d_tag, n)
         m = n - 1
-        p = cusp.block_matrix(d_tag, [
-            [QElem.one(d_tag), cusp.random_vector(rng, d_tag, m).h,
-             cusp.random_qelem(rng, d_tag)],
-            [QMatrix.zero(d_tag, m, 1), QMatrix.identity(d_tag, m),
-             cusp.random_vector(rng, d_tag, m)],
-            [QElem.zero(d_tag), QMatrix.zero(d_tag, 1, m), QElem.one(d_tag)],
-        ])
+        p = BoundaryElement.from_blocks(
+            QElem.one(d_tag), cusp.random_vector(rng, d_tag, m).h,
+            cusp.random_qelem(rng, d_tag), QMatrix.identity(d_tag, m),
+            cusp.random_vector(rng, d_tag, m), QElem.one(d_tag)).mat
         qprime = p.h @ frame.q_matrix() @ p
         n_mat, recovered = normalize_cusp_basis(qprime, n)
         result = n_mat.h @ qprime @ n_mat
@@ -106,7 +101,8 @@ def test_not_in_nf_when_scaling_breaks():
     rng = random.Random(2)
     frame = cusp.random_frame(rng, -5, 3)
     e = identity_element(frame)
-    bad = BoundaryElement(QElem.of(-5, 2), e.v, e.w, e.x_mat, e.y, QElem.one(-5))
+    bad = BoundaryElement.from_blocks(QElem.of(-5, 2), e.v, e.w, e.x_mat, e.y,
+                                      QElem.one(-5))
     assert not is_in_NF(bad, frame)
 
 
@@ -137,12 +133,12 @@ def test_wf_construction_and_shape():
             assert not is_in_WF(h, frame)
 
 
-def test_from_matrix_needs_block_upper_triangular_shape():
+def test_constructor_needs_block_upper_triangular_shape():
     rng = random.Random(9)
     frame = cusp.random_frame(rng, -7, 3)
     g = cusp.random_nf_element(rng, frame)
-    grid = g.assemble().to_rows()
-    assert BoundaryElement.from_matrix(g.assemble()) == g
+    grid = g.mat.to_rows()
+    assert BoundaryElement(g.mat) == g
     npl = len(grid)
     # every entry of the first column below the corner, and of the last row
     # before it, must be zero
@@ -150,7 +146,113 @@ def test_from_matrix_needs_block_upper_triangular_shape():
         bad = [row[:] for row in grid]
         bad[i][j] = QElem.of(-7, 0, F(1, 3))
         with pytest.raises(ValueError, match="block upper-triangular"):
-            BoundaryElement.from_matrix(QMatrix.from_rows(-7, bad))
+            BoundaryElement(QMatrix.from_rows(-7, bad))
+    with pytest.raises(ValueError, match="square of size >= 3"):
+        BoundaryElement(g.mat.submatrix(0, 0, npl - 1, npl))
+    with pytest.raises(ValueError, match="square of size >= 3"):
+        BoundaryElement(QMatrix.identity(-7, 2))
+    blocks = (g.u, g.v, g.w, g.x_mat, g.y, g.z)
+    for k, block in enumerate(blocks):
+        other = list(blocks)
+        other[k] = (QElem.one(-5) if isinstance(block, QElem)
+                    else QMatrix.zero(-5, block.rows, block.cols))
+        with pytest.raises(FieldTagError):
+            BoundaryElement.from_blocks(*other)
+    # v must be 1 x m and y must be m x 1 for the m x m block X
+    for v, y in [(g.v.submatrix(0, 0, 1, 1), g.y), (g.v, g.y.submatrix(0, 0, 1, 1)),
+                 (g.y, g.y), (g.v, g.v), (g.x_mat, g.y), (g.v, g.x_mat)]:
+        with pytest.raises(ValueError):
+            BoundaryElement.from_blocks(g.u, v, g.w, g.x_mat, y, g.z)
+
+
+def test_from_blocks_stores_one_matrix_with_its_blocks_as_slices():
+    assert [f.name for f in dataclasses.fields(BoundaryElement)] == ["mat"]
+    rng = random.Random(16)
+    for d_tag in (-5, -6, -7, -15):
+        for n in (2, 3, 4):
+            m = n - 1
+            blocks = (cusp.random_qelem(rng, d_tag, nonzero=True),
+                      cusp.random_vector(rng, d_tag, m).h, cusp.random_qelem(rng, d_tag),
+                      QMatrix.from_rows(d_tag, [[cusp.random_qelem(rng, d_tag)
+                                                 for _ in range(m)] for _ in range(m)]),
+                      cusp.random_vector(rng, d_tag, m),
+                      cusp.random_qelem(rng, d_tag, nonzero=True))
+            g = BoundaryElement.from_blocks(*blocks)
+            assert (g.u, g.v, g.w, g.x_mat, g.y, g.z) == blocks
+            assert g.mat.rows == g.size == n + 1 and g.d == d_tag
+            neg = -g
+            assert neg.mat == -g.mat
+            assert (neg.u, neg.v, neg.w, neg.x_mat, neg.y, neg.z) == (
+                -g.u, -g.v, -g.w, -g.x_mat, -g.y, -g.z)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.u = g.z
+
+
+def test_product_slices_follow_the_block_formulas():
+    rng = random.Random(17)
+    for d_tag in (-5, -6, -7, -15):
+        frame = cusp.random_frame(rng, d_tag, rng.choice((2, 3, 4)))
+        g1 = cusp.random_nf_element(rng, frame)
+        g2 = cusp.random_order2_element(rng, frame).element
+        p = g1.compose(g2)
+        assert p.mat == g1.mat @ g2.mat
+        assert p.u == g1.u * g2.u
+        assert p.x_mat == g1.x_mat @ g2.x_mat
+        assert p.z == g1.z * g2.z
+        assert p.v == g2.v.scale(g1.u) + g1.v @ g2.x_mat
+        assert p.w == g1.u * g2.w + (g1.v @ g2.y).scalar() + g1.w * g2.z
+        assert p.y == g1.x_mat @ g2.y + g1.y.scale(g2.z)
+        assert g1.compose(g1.inverse()) == identity_element(frame)
+        assert g1.inverse().mat == g1.mat.inverse()
+
+
+def _shift_each_block(rng, g):
+    """One copy of g per block u, v, w, X, y, z, with one entry of that block
+    shifted by a nonzero field element."""
+    npl = g.size
+    m = npl - 2
+    spots = {"u": [(0, 0)], "v": [(0, j) for j in range(1, npl - 1)],
+             "w": [(0, npl - 1)],
+             "X": [(i, j) for i in range(1, npl - 1) for j in range(1, npl - 1)],
+             "y": [(i, npl - 1) for i in range(1, npl - 1)],
+             "z": [(npl - 1, npl - 1)]}
+    assert sum(map(len, spots.values())) == 3 + 2 * m + m * m
+    out = []
+    for where in spots.values():
+        i, j = rng.choice(where)
+        grid = g.mat.to_rows()
+        grid[i][j] = grid[i][j] + cusp.random_qelem(rng, g.d, nonzero=True)
+        out.append(BoundaryElement(QMatrix.from_rows(g.d, grid)))
+    return out
+
+
+def test_is_in_nf_agrees_with_form_preservation():
+    """Oracle: the four relations of is_in_NF hold exactly when the stored
+    block upper-triangular matrix preserves the form Q, on members of N(F)
+    and on members with one entry of one block shifted."""
+    rng = random.Random(18)
+    members_seen = outsiders_seen = 0
+    for d_tag in (-5, -6, -7, -15):
+        for n in (2, 3, 4):
+            frame = cusp.random_frame(rng, d_tag, n)
+            q = frame.q_matrix()
+            g1 = cusp.random_nf_element(rng, frame)
+            wf = cusp.random_wf_element(rng, frame)
+            uf = uf_translation(frame, cusp.random_rational(rng, 3, 2))
+            o2 = cusp.random_order2_element(rng, frame).element
+            members = [g1, wf, uf, o2, g1.compose(wf), o2.compose(g1),
+                       uf.compose(o2), g1.inverse(), o2.inverse(), -g1, -o2]
+            for g in members:
+                assert g.mat.h @ q @ g.mat == q
+                assert is_in_NF(g, frame)
+                members_seen += 1
+                for bad in _shift_each_block(rng, g):
+                    preserves = bad.mat.h @ q @ bad.mat == q
+                    assert is_in_NF(bad, frame) == preserves
+                    outsiders_seen += not preserves
+    assert members_seen == 4 * 3 * 11
+    # nearly every shifted element leaves N(F)
+    assert outsiders_seen > 0.9 * 6 * members_seen
 
 
 def test_nf_group_laws():
@@ -164,8 +266,7 @@ def test_nf_group_laws():
         assert is_in_NF(g1, frame) and is_in_NF(g2, frame)
         assert is_in_NF(g1.compose(g2), frame)
         assert is_in_NF(g1.inverse(), frame)
-        gm = g1.assemble()
-        assert gm.h @ q @ gm == q
+        assert g1.mat.h @ q @ g1.mat == q
         u = cusp.random_uf_element(rng, frame)
         w = cusp.random_wf_element(rng, frame)
         assert u.compose(w) == w.compose(u)
@@ -274,7 +375,8 @@ def test_action_errors():
     rng = random.Random(10)
     frame = cusp.random_frame(rng, -5, 3)
     e = identity_element(frame)
-    bad = BoundaryElement(QElem.of(-5, 2), e.v, e.w, e.x_mat, e.y, QElem.one(-5))
+    bad = BoundaryElement.from_blocks(QElem.of(-5, 2), e.v, e.w, e.x_mat, e.y,
+                                      QElem.one(-5))
     pt = BoundaryPoint(QElem.zero(-5), QMatrix.zero(-5, 2, 1))
     with pytest.raises(ValueError):
         apply_boundary_action(bad, pt, frame)
@@ -339,7 +441,7 @@ def test_tangent_exponents_errors_and_fractional_shift():
     w0 = QMatrix.zero(-5, 2, 1)
     # a real-direction shift breaks the stabiliser relations outright
     e = identity_element(frame)
-    bad = BoundaryElement(e.u, e.v, QElem.one(-5), e.x_mat, e.y, e.z)
+    bad = BoundaryElement.from_blocks(e.u, e.v, QElem.one(-5), e.x_mat, e.y, e.z)
     assert not is_in_NF(bad, frame)
     with pytest.raises(ValueError):
         boundary_tangent_exponents(bad, w0, frame, x0)

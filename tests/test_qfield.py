@@ -150,6 +150,7 @@ def test_qinv_examples():
     y = QElem.of(-5, 0, 1)
     assert qinv(y) == QElem.of(-5, 0, F(-1, 5))
     assert y * qinv(y) == QElem.one(-5)
+    assert qinv(QElem.sqrt_d(-1)) == -QElem.sqrt_d(-1)
 
 
 def test_qinv_zero_raises():
@@ -178,11 +179,32 @@ def test_norm_positive():
             assert x.norm() > 0
 
 
-def test_powers():
-    i = QElem.sqrt_d(-1)
-    assert i ** 2 == QElem.of(-1, -1)
-    assert i ** 4 == QElem.one(-1)
-    assert i ** -1 == -i
+def test_field_axioms_property():
+    """The field axioms, conj as a ring automorphism and the multiplicative
+    norm, on elements drawn by hypothesis (seeded by tests/conftest.py)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coords = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+    @hypothesis.given(st.sampled_from(FIELDS), st.lists(coords, min_size=6, max_size=6))
+    def check(d, c):
+        x, y, z = QElem(d, c[0], c[1]), QElem(d, c[2], c[3]), QElem(d, c[4], c[5])
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + y == y + x and x * y == y * x
+        assert x + QElem.zero(d) == x and x * QElem.one(d) == x
+        assert x + (-x) == QElem.zero(d)
+        if not x.is_zero:
+            assert x * x.inverse() == QElem.one(d)
+            assert (y / x) * x == y
+        assert x.conj() + y.conj() == (x + y).conj()
+        assert x.conj() * y.conj() == (x * y).conj()
+        assert x.conj().conj() == x
+        assert (x * y).norm() == x.norm() * y.norm()
+        assert x * x.conj() == QElem.of(d, x.norm())
+
+    check()
 
 
 # ---------------------------------------------------------------------------
