@@ -113,20 +113,46 @@ def units_mod(d: int):
 
 
 @lru_cache(maxsize=None)
+def _smallest_prime_factors(size: int):
+    """For 0 <= a < size, the smallest prime factor of a if a is composite,
+    else 0.  Callers round size up to a power of two, so a sweep over
+    growing moduli builds a few of these, each on its first use."""
+    spf = [0] * size
+    p = 2
+    while p * p < size:
+        if not spf[p]:
+            for m in range(p * p, size, p):
+                if not spf[m]:
+                    spf[m] = p
+        p += 1
+    return spf
+
+
+@lru_cache(maxsize=None)
 def _character_defined_mod(d: int, d_tag: int) -> bool:
     """Scan test: is a -> kronecker(D, a) a nonvanishing character mod d?
 
     Checks constancy on residue classes over a in [1, 10d], nonvanishing on
-    units, and nontriviality.
+    units, and nontriviality.  The values come from a table filled in
+    increasing a by complete multiplicativity in a, (D/a) = (D/p)(D/(a/p))
+    for the smallest prime p | a, so kronecker runs only at 1 and at primes;
+    the table assumes no periodicity, which is what the scan tests.  Every
+    divisor of an a prime to d is prime to d, so only those a need an entry.
     """
+    n = 10 * d
+    spf = _smallest_prime_factors(1 << n.bit_length())
+    unit = [gcd(res, d) == 1 for res in range(d)]
+    table = [0] * (n + 1)
     values = {}
-    for a in range(1, 10 * d + 1):
-        if gcd(a, d) != 1:
+    for a in range(1, n + 1):
+        res = a % d
+        if not unit[res]:
             continue
-        v = kronecker(d_tag, a)
+        p = spf[a]
+        v = table[p] * table[a // p] if p else kronecker(d_tag, a)
+        table[a] = v
         if v == 0:
             return False
-        res = a % d
         if res in values:
             if values[res] != v:
                 return False

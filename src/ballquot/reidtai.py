@@ -9,12 +9,13 @@ splitting fields) are finite, and every minimization returns its witness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Optional, Tuple
 
-from .cyclo import (euler_phi, full_orbit, is_reducible, kronecker,
+from .cyclo import (OrbitSet, euler_phi, full_orbit, is_reducible, kronecker,
                     orbit_sets, phi_sieve, suitable_fields, units_mod)
 from .qfield import frac
 
@@ -85,6 +86,24 @@ def _orbit_sum_at(members, k1: int, r: int) -> Fraction:
     return Fraction(sum((k - k1) % r for k in members if k != k1), r)
 
 
+def orbit_minimum(orbit: OrbitSet) -> Tuple[int, int]:
+    """Least sum over k in the orbit of (k - k1) mod r, over k1 in the orbit
+    of order r, with the first k1 that reaches it; the orbit minimum is that
+    sum over r.
+
+    For the sorted members with sum S, exactly the terms of k < k1 wrap past
+    r, so the sum at the i-th member k1 is S - |A| * k1 + r * i.
+    """
+    r, members = orbit.d, orbit.members
+    s, n = sum(members), len(members)
+    best = None
+    for i, k1 in enumerate(members):
+        total = s - n * k1 + r * i
+        if best is None or total < best[0]:
+            best = (total, k1)
+    return best
+
+
 def admissible_orbits(r: int, d_filter: DFilter = None):
     """Split orbits of every suitable field that passes the filter, plus the
     full orbit (which covers fields where no splitting happens)."""
@@ -110,11 +129,11 @@ class MinWitness:
 def mc_with_witness(r: int, d_filter: DFilter = None) -> MinWitness:
     best = None
     for orbit in admissible_orbits(r, d_filter):
-        for k1 in orbit.members:
-            v = _orbit_sum_at(orbit.members, k1, r)
-            if best is None or v < best.value:
-                best = MinWitness(v, orbit.label, orbit.d_field, k1)
-    return best
+        total, k1 = orbit_minimum(orbit)
+        if best is None or total < best[0]:
+            best = (total, orbit, k1)
+    total, orbit, k1 = best
+    return MinWitness(Fraction(total, r), orbit.label, orbit.d_field, k1)
 
 
 def mc(r: int, d_filter: DFilter = None) -> Fraction:
@@ -132,11 +151,7 @@ def mc_for_field(r: int, d_tag: int) -> Fraction:
         orbits = orbit_sets(r, d_tag)
     else:
         orbits = (full_orbit(r),)
-    return min(
-        _orbit_sum_at(orbit.members, k1, r)
-        for orbit in orbits
-        for k1 in orbit.members
-    )
+    return Fraction(min(orbit_minimum(orbit)[0] for orbit in orbits), r)
 
 
 def mc_literal_reading(r: int, d_filter: DFilter = None) -> Fraction:
@@ -210,6 +225,23 @@ def c_min(d: int) -> Fraction:
     return Fraction(min(sum((b + a) % d for b in units) for a in range(d)), d)
 
 
+def _shift_minimum(orbit: OrbitSet) -> Tuple[int, int]:
+    """Least sum over the orbit of (b + a) mod d over shifts a in [0, d), with
+    the first a that reaches it.
+
+    For members with sum S, exactly those b >= d - a wrap past d, so the sum
+    at shift a is S + |B| * a - d * #{b >= d - a}.
+    """
+    d, members = orbit.d, orbit.members
+    s, n = sum(members), len(members)
+    best = None
+    for a in range(d):
+        total = s + n * a - d * (n - bisect_left(members, d - a))
+        if best is None or total < best[0]:
+            best = (total, a)
+    return best
+
+
 def c_min_red_with_witness(d: int, d_filter: DFilter = None):
     if d < 3:
         raise ValueError("c_min_red expects d >= 3")
@@ -220,11 +252,11 @@ def c_min_red_with_witness(d: int, d_filter: DFilter = None):
     best = None
     for d_tag in fields:
         for orbit in orbit_sets(d, d_tag):
-            for a in range(d):
-                v = Fraction(sum((b + a) % d for b in orbit.members), d)
-                if best is None or v < best[0]:
-                    best = (v, d_tag, orbit.label, a)
-    return best
+            total, a = _shift_minimum(orbit)
+            if best is None or total < best[0]:
+                best = (total, d_tag, orbit.label, a)
+    total, d_tag, label, a = best
+    return Fraction(total, d), d_tag, label, a
 
 
 def c_min_red(d: int, d_filter: DFilter = None) -> Fraction:

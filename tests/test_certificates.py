@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -36,7 +37,6 @@ def test_verify_claim_api():
 
 
 def test_verify_claim_negative_control():
-    from fractions import Fraction as F
     import ballquot.tables as tables
     broken = dict(tables.CMINRED_EXPECTED)
     broken[30] = F(11, 15) + F(1, 1000)
@@ -49,7 +49,6 @@ def test_verify_claim_negative_control():
 
 
 def test_perturb_helpers():
-    from fractions import Fraction as F
     exp = {"a": F(1, 2), "b": (1, 2, 3)}
     slots = list(list_expected_slots(exp))
     assert ("a",) in slots and ("b", 0) in slots
@@ -218,6 +217,7 @@ def test_cli_text_report_to_stdout(capsys):
     ["--claims", "exceptional_orders", "--r-limit", "2"],
     ["--claims", "exceptional_orders", "--r-limit", "2", "--perturb"],
     ["--claims", "mc_ge_1_phi10", "--r-limit", "5"],
+    ["--claims", "mc_ge_1_phi10", "--r-limit", "1001"],
     ["--claims", "mc_literal_reading", "--r-limit", "1000"],
     ["--claims", "all", "--r-limit", "1000"],
 ])
@@ -237,13 +237,21 @@ def test_cli_bad_config_exits_2_before_any_claim_runs(argv, monkeypatch, capsys)
 
 
 def test_limit_below_the_full_bound_is_perturbed(capsys):
-    # every bound in [11, 500] has the recorded worst case 14/11 at r = 11
+    # every bound in [11, 1000] has the recorded worst case 14/11 at r = 11
     code = cli.main(["run", "--claims", "mc_ge_1_phi10", "--r-limit", "100",
                      "--perturb"])
     out = capsys.readouterr().out
     assert code == 1
     assert "claim mc_ge_1_phi10: FAIL" in out
     assert '  expected = {"min_value": "13969/10967"}' in out  # 14/11 + 1/997
+
+
+def test_mc_phi10_sweep_to_500_keeps_the_worst_case():
+    cert = verify_claim("mc_ge_1_phi10", r_limit=500)
+    assert cert.passed()
+    assert cert.search_bounds == {"r_limit": 500, "phi_min": 10}
+    worst = min(cert.computed, key=lambda row: row["value"])
+    assert worst["label"] == "mc(11)" and worst["value"] == F(14, 11)
 
 
 def test_bounds_show_the_limit_given(tmp_path, capsys):

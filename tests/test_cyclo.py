@@ -1,8 +1,10 @@
 import random
+from functools import lru_cache
 from math import gcd
 
 import pytest
 
+from ballquot import cyclo
 from ballquot.cyclo import (FULL, MINUS, PLUS, InternalCheckError, OrbitSet,
                             complex_conjugate_orbit, cyclotomic_polynomial,
                             euler_phi, factorize, field_discriminant,
@@ -13,13 +15,17 @@ from ballquot.cyclo import (FULL, MINUS, PLUS, InternalCheckError, OrbitSet,
 # ---------------------------------------------------------------------------
 # oracles
 
+@lru_cache(maxsize=None)
+def squares_mod(p):
+    return frozenset((x * x) % p for x in range(1, p))
+
+
 def legendre_by_squaring(a, p):
     """Exhaustive quadratic-residue test modulo an odd prime."""
     a %= p
     if a == 0:
         return 0
-    squares = {(x * x) % p for x in range(1, p)}
-    return 1 if a in squares else -1
+    return 1 if a in squares_mod(p) else -1
 
 
 def kronecker_oracle(a, n):
@@ -27,6 +33,8 @@ def kronecker_oracle(a, n):
     assert n > 0
     result, m, p = 1, n, 2
     while m > 1:
+        if p * p > m:
+            p = m  # what is left is prime
         while m % p == 0:
             if p == 2:
                 if a % 2 == 0:
@@ -114,6 +122,39 @@ def test_kronecker_multiplicative_in_bottom():
         assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
 
 
+def test_kronecker_completely_multiplicative_property():
+    """(D/mn) = (D/m)(D/n) for all nonzero m, n, coprime or not: the rule
+    the character scan's table is filled by."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    nonzero = st.integers(-10 ** 4, 10 ** 4).filter(bool)
+
+    @hypothesis.given(st.integers(-3000, 3000), nonzero, nonzero)
+    def check(D, m, n):
+        assert kronecker(D, m * n) == kronecker(D, m) * kronecker(D, n)
+
+    check()
+
+
+def test_kronecker_periodic_property():
+    """For D = 0, 1 mod 4, n -> (D/n) has period |D| on n >= 1; for the
+    other D, period 4|D| on odd n (it is not periodic on even n: (3/2) = -1
+    but (3/14) = 1)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(st.integers(-3000, 3000).filter(bool),
+                      st.integers(1, 10 ** 4), st.integers(1, 20))
+    def check(D, n, k):
+        if D % 4 in (0, 1):
+            assert kronecker(D, n + k * abs(D)) == kronecker(D, n)
+        n |= 1
+        assert kronecker(D, n + 4 * k * abs(D)) == kronecker(D, n)
+
+    check()
+    assert kronecker(3, 2) == -1 and kronecker(3, 14) == 1
+
+
 # ---------------------------------------------------------------------------
 # reducibility and orbits
 
@@ -134,25 +175,74 @@ def test_is_reducible_examples():
     assert not is_reducible(1, -3) and not is_reducible(2, -3)
 
 
-def test_is_reducible_matches_character_scan():
-    # independent re-implementation of the scan criterion
-    def scan(d, D):
-        values = {}
-        for a in range(1, 10 * d + 1):
-            if gcd(a, d) != 1:
-                continue
-            v = kronecker_oracle(D, a)
-            if v == 0:
-                return False
-            res = a % d
-            if res in values and values[res] != v:
-                return False
-            values[res] = v
-        return -1 in values.values()
+@lru_cache(maxsize=None)
+def character_scan(d, D):
+    """Independent re-implementation of the scan criterion on the oracle."""
+    values = {}
+    for a in range(1, 10 * d + 1):
+        if gcd(a, d) != 1:
+            continue
+        v = kronecker_oracle(D, a)
+        if v == 0:
+            return False
+        res = a % d
+        if res in values and values[res] != v:
+            return False
+        values[res] = v
+    return -1 in values.values()
 
-    for d in range(1, 40):
-        for D in (-1, -2, -3, -5, -7, -15):
-            assert is_reducible(d, D) == scan(d, D), (d, D)
+
+# fields of small discriminant, and fields whose scans mostly exit early, at
+# the first prime p | D (where (D/p) = 0) or at the first residue class that
+# holds both signs; -101 and -2999 split for no d < 200
+SCAN_FIELDS = (-1, -2, -3, -5, -7, -15,
+               -10, -11, -30, -39, -55, -101, -2999)
+
+
+def scan_disagreements(d_limit=200):
+    """Pairs (d, D) where is_reducible and the oracle scan differ, or where
+    is_reducible raises because its own criteria disagree."""
+    bad = []
+    for d in range(1, d_limit):
+        for D in SCAN_FIELDS:
+            try:
+                agrees = is_reducible(d, D) == character_scan(d, D)
+            except InternalCheckError:
+                agrees = False
+            if not agrees:
+                bad.append((d, D))
+    return bad
+
+
+@pytest.fixture
+def cold_scan_caches():
+    """Empty the scan caches before and after, so that a test's patched
+    kronecker neither reads nor leaves cached verdicts."""
+    cyclo._character_defined_mod.cache_clear()
+    is_reducible.cache_clear()
+    yield
+    cyclo._character_defined_mod.cache_clear()
+    is_reducible.cache_clear()
+
+
+def test_is_reducible_matches_character_scan(cold_scan_caches):
+    assert scan_disagreements() == []
+
+
+@pytest.mark.parametrize("D, p", [(-7, 3), (-3, 2), (-1, 101), (-11, 5)])
+def test_character_scan_catches_one_wrong_table_value(D, p, monkeypatch,
+                                                      cold_scan_caches):
+    # the scan's table reads kronecker at primes only; a wrong sign there
+    # must show as a disagreement with the oracle scan
+    true_kronecker = cyclo.kronecker
+
+    def wrong_at_p(a, n):
+        v = true_kronecker(a, n)
+        return -v if (a, n) == (D, p) else v
+
+    monkeypatch.setattr(cyclo, "kronecker", wrong_at_p)
+    bad = scan_disagreements()
+    assert bad and all(pair[1] == D for pair in bad)
 
 
 def test_orbit_sets_examples():

@@ -4,15 +4,18 @@ from math import gcd
 
 import pytest
 
-from ballquot.cyclo import euler_phi, orbit_sets, suitable_fields, units_mod
+from ballquot.cyclo import (FULL, OrbitSet, euler_phi, full_orbit,
+                            orbit_sets, suitable_fields, units_mod)
 from ballquot.qfield import frac
 from ballquot.reidtai import (CASE_FAMILIES, DIMENSION_COEFF,
-                              DecompositionProfile, EigenSystem, c_min,
+                              DecompositionProfile, EigenSystem, MinWitness,
+                              _orbit_sum_at, admissible_orbits, c_min,
                               c_min_red, c_min_red_with_witness, case_analysis,
                               dimension_count, enumerate_exceptional_orders,
                               enumerate_small_d, exceptional_lower_bound,
                               hom_contribution, is_quasi_reflection, mc,
                               mc_for_field, mc_literal_reading,
+                              mc_with_witness, orbit_minimum,
                               pooled_contribution, qr_allowed_patterns,
                               reid_tai_sum, sigma_prime)
 
@@ -134,6 +137,120 @@ def test_mc_for_field():
     assert mc_for_field(8, -5) == F(3, 2)
     assert mc_for_field(9, -3) == 1
     assert mc_for_field(7, -7) == F(4, 7)
+
+
+# quadratic minima by direct sums: the oracles for the closed forms of
+# orbit_minimum and of the shift minimum in c_min_red
+
+def quadratic_orbit_minimum(members, r):
+    """The least _orbit_sum_at over the orbit, and the first k1 reaching it."""
+    best = None
+    for k1 in members:
+        v = _orbit_sum_at(members, k1, r)
+        if best is None or v < best[0]:
+            best = (v, k1)
+    return best
+
+
+def quadratic_mc_with_witness(r, d_filter=None):
+    best = None
+    for orbit in admissible_orbits(r, d_filter):
+        v, k1 = quadratic_orbit_minimum(orbit.members, r)
+        if best is None or v < best.value:
+            best = MinWitness(v, orbit.label, orbit.d_field, k1)
+    return best
+
+
+def quadratic_c_min_red_with_witness(d, d_filter=None):
+    best = None
+    for d_tag in suitable_fields(d):
+        if d_filter is not None and not d_filter(d_tag):
+            continue
+        for orbit in orbit_sets(d, d_tag):
+            for a in range(d):
+                v = F(sum((b + a) % d for b in orbit.members), d)
+                if best is None or v < best[0]:
+                    best = (v, d_tag, orbit.label, a)
+    return best
+
+
+def linear_orbit_minimum(members, r):
+    total, k1 = orbit_minimum(OrbitSet(r, tuple(members), FULL))
+    return F(total, r), k1
+
+
+def test_orbit_minimum_matches_quadratic_on_unit_subsets():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def unit_subsets(draw):
+        r = draw(st.integers(3, 300))
+        units = [a for a in range(1, r) if gcd(a, r) == 1]
+        return r, sorted(draw(st.sets(st.sampled_from(units), min_size=1)))
+
+    @hypothesis.given(unit_subsets())
+    # ties: every k1 of {1, 3} mod 4 and of the units mod 8 is a minimum
+    @hypothesis.example((4, [1, 3]))
+    @hypothesis.example((8, [1, 3, 5, 7]))
+    @hypothesis.example((12, [1, 5]))
+    def check(case):
+        r, members = case
+        assert linear_orbit_minimum(members, r) == quadratic_orbit_minimum(members, r)
+
+    check()
+
+
+def test_orbit_minimum_matches_quadratic_on_real_orbits():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(st.integers(3, 400))
+    def check(r):
+        for orbit in admissible_orbits(r):
+            assert (linear_orbit_minimum(orbit.members, r)
+                    == quadratic_orbit_minimum(orbit.members, r)), (r, orbit)
+
+    check()
+    # and exhaustively for small r, where ties are common: the witness is
+    # the first of several minima
+    ties = 0
+    for r in range(3, 100):
+        for orbit in admissible_orbits(r):
+            value, k1 = quadratic_orbit_minimum(orbit.members, r)
+            ties += sum(_orbit_sum_at(orbit.members, k, r) == value
+                        for k in orbit.members) > 1
+            assert linear_orbit_minimum(orbit.members, r) == (value, k1)
+    assert ties > 50
+
+
+def test_mc_witness_matches_quadratic():
+    # first minimum: first orbit in admissible_orbits order, then first k1
+    for r in range(3, 200):
+        assert mc_with_witness(r) == quadratic_mc_with_witness(r), r
+    flt = lambda D: D < -3
+    for r in range(3, 100):
+        assert mc_with_witness(r, flt) == quadratic_mc_with_witness(r, flt), r
+
+
+def test_mc_for_field_matches_quadratic():
+    for r in (7, 8, 9, 12, 15, 16, 18, 20, 24, 30):
+        for D in (-1, -2, -3, -5, -6, -7, -15, -21):
+            orbits = (orbit_sets(r, D) if D in suitable_fields(r)
+                      else (full_orbit(r),))
+            want = min(quadratic_orbit_minimum(o.members, r)[0] for o in orbits)
+            assert mc_for_field(r, D) == want, (r, D)
+
+
+def test_c_min_red_witness_matches_quadratic():
+    for d in range(3, 150):
+        if not suitable_fields(d):
+            continue
+        assert c_min_red_with_witness(d) == quadratic_c_min_red_with_witness(d), d
+        if any(D < -3 for D in suitable_fields(d)):
+            flt = lambda D: D < -3
+            assert (c_min_red_with_witness(d, flt)
+                    == quadratic_c_min_red_with_witness(d, flt)), d
 
 
 # ---------------------------------------------------------------------------
