@@ -24,13 +24,13 @@ from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import cusp, reidtai, tables
-from .cyclo import euler_phi, full_orbit
+from .cyclo import euler_phi
 from .qfield import QElem, QMatrix, fmt_rational, in_ring_of_integers, is_squarefree
 from .reidtai import (CASE_FAMILIES, DIMENSION_COEFF, EigenSystem,
                       c_min_red_with_witness, case_analysis,
                       enumerate_exceptional_orders, enumerate_small_d,
                       is_quasi_reflection, mc_for_field, mc_literal_reading,
-                      mc_with_witness, orbit_minimum, qr_allowed_patterns,
+                      mc_with_witness, qr_allowed_patterns,
                       reid_tai_sum)
 
 PASS = "PASS"
@@ -236,7 +236,7 @@ def _claim_omega_unsplit(cfg: RunConfig) -> Computed:
     r_set = [7, 14, 15, 20, 24, 30]
     rows, values = [], []
     for r in r_set:
-        value = Fraction(orbit_minimum(full_orbit(r))[0], r)
+        value = reidtai.mc_unsplit(r)
         values.append(value)
         rows.append({"label": f"full-orbit minimum, r={r}", "value": value})
     return _sweep_minimum(rows, values, search_bounds={"r_set": r_set})

@@ -138,26 +138,34 @@ def _character_defined_mod(d: int, d_tag: int) -> bool:
     for the smallest prime p | a, so kronecker runs only at 1 and at primes;
     the table assumes no periodicity, which is what the scan tests.  Every
     divisor of an a prime to d is prime to d, so only those a need an entry.
+    The first period a in [1, d] finds the units mod d by gcd, as far as the
+    scan gets, and holds each class's value; each later period visits only
+    the classes it found.
     """
     n = 10 * d
     spf = _smallest_prime_factors(1 << n.bit_length())
-    unit = [gcd(res, d) == 1 for res in range(d)]
     table = [0] * (n + 1)
-    values = {}
-    for a in range(1, n + 1):
-        res = a % d
-        if not unit[res]:
+    values = {}  # first a of each unit class mod d -> its value
+    for a in range(1, d + 1):
+        if gcd(a, d) != 1:
             continue
         p = spf[a]
         v = table[p] * table[a // p] if p else kronecker(d_tag, a)
         table[a] = v
         if v == 0:
             return False
-        if res in values:
-            if values[res] != v:
+        values[a] = v
+    classes = tuple(values.items())
+    for base in range(d, n, d):
+        for first, value in classes:
+            a = base + first
+            p = spf[a]
+            v = table[p] * table[a // p] if p else kronecker(d_tag, a)
+            table[a] = v
+            if v == 0:
                 return False
-        else:
-            values[res] = v
+            if v != value:
+                return False
     return -1 in values.values()
 
 

@@ -37,15 +37,17 @@ class FieldTagError(ValueError):
 def is_squarefree(n: int) -> bool:
     """True iff |n| has no repeated prime factor (0 is not squarefree)."""
     n = abs(n)
-    if n == 0:
+    if n == 0 or n % 4 == 0:
         return False
-    p = 2
+    if n % 2 == 0:
+        n //= 2
+    p = 3
     while p * p <= n:
         if n % (p * p) == 0:
             return False
         while n % p == 0:
             n //= p
-        p += 1
+        p += 2
     return True
 
 

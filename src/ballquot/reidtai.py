@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Dict, Optional, Tuple
 
@@ -142,16 +143,23 @@ def mc(r: int, d_filter: DFilter = None) -> Fraction:
     return mc_with_witness(r, d_filter).value
 
 
+@lru_cache(maxsize=None)
+def mc_unsplit(r: int) -> Fraction:
+    """The full-orbit minimum of order r: the orbit contribution over every
+    field where the r-th cyclotomic polynomial stays irreducible.  It does
+    not depend on the field, so it is computed once per order."""
+    return Fraction(orbit_minimum(full_orbit(r))[0], r)
+
+
 def mc_for_field(r: int, d_tag: int) -> Fraction:
     """Same minimum with the orbit structure forced by one specific field:
     the two split orbits if (r, D) splits, the full orbit otherwise."""
     if r < 3:
         raise ValueError("orbit minimization needs r >= 3")
     if is_reducible(r, d_tag):
-        orbits = orbit_sets(r, d_tag)
-    else:
-        orbits = (full_orbit(r),)
-    return Fraction(min(orbit_minimum(orbit)[0] for orbit in orbits), r)
+        return Fraction(min(orbit_minimum(orbit)[0]
+                            for orbit in orbit_sets(r, d_tag)), r)
+    return mc_unsplit(r)
 
 
 def mc_literal_reading(r: int, d_filter: DFilter = None) -> Fraction:
@@ -273,20 +281,13 @@ def hom_contribution(d: int, r: int, k1: int, d_tag: Optional[int]) -> Fraction:
     """
     if gcd(k1, r) != 1:
         raise ValueError(f"k1={k1} is not a unit mod r={r}")
-    units = units_mod(d)
     modulus = d * r
     if d_tag is not None and d >= 3 and is_reducible(d, d_tag):
-        best = None
-        for alpha in (1, -1):
-            total = sum(
-                (a * r + k1 * d) % modulus
-                for a in units if kronecker(d_tag, a) == alpha
-            )
-            v = Fraction(total, modulus)
-            if best is None or v < best:
-                best = v
-        return best
-    return Fraction(sum((a * r + k1 * d) % modulus for a in units), modulus)
+        halves = [orbit.members for orbit in orbit_sets(d, d_tag)]
+    else:
+        halves = [units_mod(d)]
+    return Fraction(min(sum((a * r + k1 * d) % modulus for a in half)
+                        for half in halves), modulus)
 
 
 # ---------------------------------------------------------------------------

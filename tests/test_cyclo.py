@@ -245,6 +245,29 @@ def test_character_scan_catches_one_wrong_table_value(D, p, monkeypatch,
     assert bad and all(pair[1] == D for pair in bad)
 
 
+def test_scan_reads_kronecker_at_one_and_every_prime_prime_to_d(monkeypatch,
+                                                                 cold_scan_caches):
+    # under a character that is 1 everywhere no check exits early, so the
+    # scan must read kronecker at 1 and at every prime in [1, 10d] prime to
+    # d, in increasing order: at d = 1 every a is a unit (a = 0 mod 1), at
+    # d = 2 every odd a; a residue misplaced in the units found in the first
+    # period adds or drops a prime, or reads an unfilled table entry as 0
+    reads = []
+
+    def trivial(a, n):
+        reads.append(n)
+        return 1
+
+    monkeypatch.setattr(cyclo, "kronecker", trivial)
+    for d in range(1, 60):
+        reads.clear()
+        assert cyclo._character_defined_mod(d, -1) is False
+        primes = [p for p in range(2, 10 * d + 1)
+                  if factorize(p) == ((p, 1),) and d % p]
+        assert reads == [1] + primes, d
+    assert cyclo._character_defined_mod.cache_info().currsize == 59
+
+
 def test_orbit_sets_examples():
     plus, minus = orbit_sets(7, -7)
     # quadratic residues mod 7 by exhaustive squaring: {1, 2, 4}

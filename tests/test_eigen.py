@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ballquot.cyclo import is_reducible
 from ballquot.eigen import eigen_exponents, matrix_order, split_half_factor
 from ballquot.qfield import QElem, QMatrix
 from ballquot.reidtai import EigenSystem
@@ -62,6 +63,35 @@ def test_split_half_factor_degrees():
         from ballquot.cyclo import euler_phi
         assert len(half) - 1 == euler_phi(d) // 2
         assert half[-1] == QElem.one(d_tag)
+
+
+ORACLE_FIELDS = (-1, -2, -3, -5, -7, -15)
+
+
+def test_split_half_factor_matches_sympy_factor():
+    """The whole half-factor against sympy's factorisation of Phi_d over
+    QQ<sqrt(D)>, for every split (d, D) with d <= 30.  Of sympy's two
+    factors the match is the one with zeta_d = exp(2 pi i/d) as a root
+    (kronecker(D, 1) = +1), under sympy's principal sqrt(D), as in
+    split_half_factor; the root is located at 30 digits, and the
+    comparison itself is exact."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    pairs = [(d, D) for D in ORACLE_FIELDS for d in range(3, 31)
+             if is_reducible(d, D)]
+    assert len(pairs) == 27
+    for d, D in pairs:
+        sqrt_d = sympy.sqrt(D)
+        _, factors = sympy.factor_list(sympy.cyclotomic_poly(d, x), extension=sqrt_d)
+        assert len(factors) == 2 and all(mult == 1 for _, mult in factors)
+        assert all(sympy.LC(f, x) == 1 for f, _ in factors)
+        zeta = sympy.exp(2 * sympy.pi * sympy.I / d)
+        at_zeta = [abs(f.evalf(30, subs={x: zeta})) for f, _ in factors]
+        roots = [f for (f, _), v in zip(factors, at_zeta) if v < 1e-20]
+        assert len(roots) == 1 and max(at_zeta) > 1e-3, (d, D)
+        half = split_half_factor(d, D)
+        ours = sum((c.re + c.rt * sqrt_d) * x ** i for i, c in enumerate(half))
+        assert sympy.expand(ours - roots[0]) == 0, (d, D)
 
 
 def test_split_half_factor_requires_split():

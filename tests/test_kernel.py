@@ -126,6 +126,48 @@ def test_scale_agrees_with_elementwise_products():
         _same(m.scale(c), want)
 
 
+def test_ring_laws_property():
+    """Associativity of @, distributivity over +, .h as an anti-automorphism
+    and A @ A.inverse() == I, on small matrices drawn by hypothesis (seeded
+    by tests/conftest.py); every product and inverse is also compared with
+    the Fraction kernel."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw, d, rows, cols):
+        size = 2 * rows * cols
+        nums = draw(st.lists(st.integers(-20, 20), min_size=size, max_size=size))
+        dens = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+        coords = iter([F(n, m) for n, m in zip(nums, dens)])
+        return QMatrix.from_rows(d, [[QElem(d, next(coords), next(coords))
+                                      for _ in range(cols)] for _ in range(rows)])
+
+    @hypothesis.given(st.data())
+    def check(data):
+        d = data.draw(st.sampled_from((-1, -5, -7)))
+        n, k, p, q = (data.draw(st.integers(1, 3)) for _ in range(4))
+        a, b, b2 = (data.draw(matrices(d, *shape))
+                    for shape in ((n, k), (k, p), (k, p)))
+        c, s = data.draw(matrices(d, p, q)), data.draw(matrices(d, n, n))
+        ab = a @ b
+        _same(ab, ref.matmul(a, b))
+        _same(ab @ c, a @ (b @ c))
+        _same(ab @ c, ref.matmul(ref.matmul(a, b), c))
+        _same(a @ (b + b2), ab + a @ b2)
+        _same((b + b2) @ c, b @ c + b2 @ c)
+        _same(ab.h, b.h @ a.h)
+        _same((b + b2).h, b.h + b2.h)
+        _same(a.h.h, a)
+        if not s.det().is_zero:
+            inv, ident = s.inverse(), QMatrix.identity(d, n)
+            _same(inv, ref.inverse(s))
+            _same(s @ inv, ident)
+            _same(inv @ s, ident)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # the stored form against entrywise QElem arithmetic
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
@@ -42,6 +43,31 @@ def test_fmt_rational():
 def test_is_squarefree():
     assert is_squarefree(-5) and is_squarefree(30) and is_squarefree(-1)
     assert not is_squarefree(12) and not is_squarefree(-4) and not is_squarefree(0)
+
+
+def squarefree_by_every_square(n):
+    """Brute force: no p in [2, sqrt|n|] has p^2 | n (0 is not squarefree)."""
+    n = abs(n)
+    return n != 0 and all(n % (p * p) for p in range(2, isqrt(n) + 1))
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 97, 101, 139, 10007, 10009, 65537)
+
+
+def test_is_squarefree_matches_brute_force():
+    # every |n| <= 20000, then the cases an odd-only trial division could
+    # miss: squares of odd primes alone and beside a factor 2, and products
+    # of two large primes, whose smaller factor the loop must reach
+    for n in range(-20000, 20001):
+        assert is_squarefree(n) == squarefree_by_every_square(n), n
+    special = [0, 1, -1, 2, -2, 4, 8]
+    for p in ODD_PRIMES:
+        special += [p * p, -p * p, 2 * p * p, 4 * p * p, 2 * p, p ** 3]
+    for i, p in enumerate(ODD_PRIMES):
+        for q in ODD_PRIMES[i:]:
+            special += [p * q, -2 * p * q]
+    for n in special:
+        assert is_squarefree(n) == squarefree_by_every_square(n), n
 
 
 # ---------------------------------------------------------------------------

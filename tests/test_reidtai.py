@@ -4,9 +4,11 @@ from math import gcd
 
 import pytest
 
-from ballquot.cyclo import (FULL, OrbitSet, euler_phi, full_orbit,
+from ballquot import reidtai
+from ballquot.certificates import verify_claim
+from ballquot.cyclo import (FULL, OrbitSet, euler_phi, full_orbit, kronecker,
                             orbit_sets, suitable_fields, units_mod)
-from ballquot.qfield import frac
+from ballquot.qfield import frac, is_squarefree
 from ballquot.reidtai import (CASE_FAMILIES, DIMENSION_COEFF,
                               DecompositionProfile, EigenSystem, MinWitness,
                               _orbit_sum_at, admissible_orbits, c_min,
@@ -242,6 +244,71 @@ def test_mc_for_field_matches_quadratic():
             assert mc_for_field(r, D) == want, (r, D)
 
 
+# orders of the mc_r_9_16_18 and omega_unsplit claims and of the case tables
+UNSPLIT_ORDERS = (9, 16, 18, 7, 14, 15, 20, 24, 30)
+
+
+def fresh_full_orbit_minimum(r):
+    """The full-orbit minimum built from scratch, through no cache."""
+    return F(orbit_minimum(full_orbit(r))[0], r)
+
+
+@pytest.fixture
+def cold_mc_unsplit():
+    reidtai.mc_unsplit.cache_clear()
+    yield
+    reidtai.mc_unsplit.cache_clear()
+
+
+def test_mc_for_field_unsplit_is_one_minimum_per_order(cold_mc_unsplit):
+    # fields outer and orders inner, so that a value kept per field, or
+    # kept from the previous order, shows as a wrong minimum
+    fields = [-k for k in range(1, 400) if is_squarefree(-k)] + [-2999, -2995]
+    seen = 0
+    for D in fields:
+        for r in UNSPLIT_ORDERS:
+            if D in suitable_fields(r):
+                continue
+            assert mc_for_field(r, D) == fresh_full_orbit_minimum(r), (r, D)
+            seen += 1
+    assert seen > 100 * len(UNSPLIT_ORDERS)
+    info = reidtai.mc_unsplit.cache_info()
+    assert (info.currsize, info.misses) == (len(UNSPLIT_ORDERS),) * 2
+
+
+def test_split_keys_go_through_orbit_sets(monkeypatch, cold_mc_unsplit):
+    calls = []
+    true_orbit_sets = reidtai.orbit_sets
+
+    def counted(d, d_tag):
+        calls.append((d, d_tag))
+        return true_orbit_sets(d, d_tag)
+
+    monkeypatch.setattr(reidtai, "orbit_sets", counted)
+    split = [(r, D) for r in UNSPLIT_ORDERS for D in suitable_fields(r)]
+    for r, D in split:
+        halves = true_orbit_sets(r, D)
+        want = min(quadratic_orbit_minimum(o.members, r)[0] for o in halves)
+        assert mc_for_field(r, D) == want, (r, D)
+    assert calls == split
+    assert reidtai.mc_unsplit.cache_info().currsize == 0
+    calls.clear()
+    assert mc_for_field(9, -5) == fresh_full_orbit_minimum(9)
+    assert calls == []
+
+
+def test_omega_unsplit_reads_mc_unsplit(monkeypatch):
+    cert = verify_claim("omega_unsplit")
+    assert cert.passed()
+    assert [row["value"] for row in cert.computed] == [
+        fresh_full_orbit_minimum(r) for r in (7, 14, 15, 20, 24, 30)]
+    monkeypatch.setattr(reidtai, "mc_unsplit", lambda r: F(r, 1000))
+    cert = verify_claim("omega_unsplit")
+    assert not cert.passed()
+    assert [row["value"] for row in cert.computed] == [
+        F(r, 1000) for r in (7, 14, 15, 20, 24, 30)]
+
+
 def test_c_min_red_witness_matches_quadratic():
     for d in range(3, 150):
         if not suitable_fields(d):
@@ -362,6 +429,20 @@ def test_hom_contribution_direct_formula():
         k1 = rng.choice([k for k in units_mod(r)])
         direct = sum(frac(F(a, d) + F(k1, r)) for a in units_mod(d))
         assert hom_contribution(d, r, k1, None) == direct
+
+
+def test_hom_contribution_split_matches_kronecker_halves():
+    # the halves cut out directly by the Kronecker symbol, as the oracle for
+    # the PLUS/MINUS members that hom_contribution reads from orbit_sets
+    for d in (3, 4, 7, 8, 12, 14, 15, 20, 24, 30):
+        for D in suitable_fields(d):
+            for r in (3, 4, 6, 7, 14, 15, 20, 24, 30):
+                for k1 in units_mod(r):
+                    want = min(
+                        sum(frac(F(a, d) + F(k1, r)) for a in units_mod(d)
+                            if kronecker(D, a) == alpha)
+                        for alpha in (1, -1))
+                    assert hom_contribution(d, r, k1, D) == want, (d, D, r, k1)
 
 
 def test_hom_contribution_unit_check():
