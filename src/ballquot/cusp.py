@@ -191,42 +191,39 @@ def _real_part_vanishes(a: QElem, w: QElem) -> bool:
     return val.is_zero
 
 
+def _translation_relations(g: BoundaryElement, frame: CuspFrame,
+                            xhb: QMatrix) -> bool:
+    """X^H B y + a z v^H = 0 and the corner relation
+    y^H B y + conj(a z) w + a z conj(w) = 0, given xhb = X^H B."""
+    az = frame.a * g.z
+    if not (xhb @ g.y + g.v.h.scale(az)).is_zero:
+        return False
+    scal = (g.y.h @ frame.b_mat @ g.y).scalar() + az.conj() * g.w + az * g.w.conj()
+    return scal.is_zero
+
+
 def is_in_NF(g: BoundaryElement, frame: CuspFrame) -> bool:
     """The four stabiliser relations, checked exactly."""
     if g.size != frame.n + 1 or g.d != frame.d:
         raise ValueError("element size or field does not match the frame")
-    b = frame.b_mat
-    a = frame.a
-    one = QElem.one(frame.d)
-    if g.z * g.u.conj() != one:
+    if g.z * g.u.conj() != QElem.one(frame.d):
         return False
-    x = g.x_mat
-    if x.h @ b @ x != b:
+    xhb = g.x_mat.h @ frame.b_mat
+    if xhb @ g.x_mat != frame.b_mat:
         return False
-    vec = x.h @ b @ g.y + (g.v.h).scale(a * g.z)
-    if not vec.is_zero:
-        return False
-    scal = (g.y.h @ b @ g.y).scalar() \
-        + g.z.conj() * a.conj() * g.w + g.z * a * g.w.conj()
-    return scal.is_zero
+    return _translation_relations(g, frame, xhb)
 
 
 def is_in_WF(g: BoundaryElement, frame: CuspFrame) -> bool:
     """Unipotent radical: u = z = 1, X = I, plus two displayed relations."""
     if g.size != frame.n + 1 or g.d != frame.d:
         raise ValueError("element size or field does not match the frame")
-    d = frame.d
-    one = QElem.one(d)
+    one = QElem.one(frame.d)
     if g.u != one or g.z != one:
         return False
-    if g.x_mat != QMatrix.identity(d, frame.n - 1):
+    if g.x_mat != QMatrix.identity(frame.d, frame.n - 1):
         return False
-    vec = frame.b_mat @ g.y + (g.v.h).scale(frame.a)
-    if not vec.is_zero:
-        return False
-    scal = (g.y.h @ frame.b_mat @ g.y).scalar() \
-        + frame.a.conj() * g.w + frame.a * g.w.conj()
-    return scal.is_zero
+    return _translation_relations(g, frame, frame.b_mat)
 
 
 def is_in_UF(g: BoundaryElement, frame: CuspFrame) -> bool:

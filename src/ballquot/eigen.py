@@ -18,80 +18,43 @@ from .cyclo import InternalCheckError, cyclotomic_polynomial, is_reducible, kron
 from .qfield import QElem, QMatrix
 from .reidtai import EigenSystem
 
-# -- polynomials over Q(sqrt(D)), dense lists, low degree first -------------
-
-
-def _ptrim(p: List[QElem]) -> List[QElem]:
-    while len(p) > 1 and p[-1].is_zero:
-        p.pop()
-    return p
-
-
-def _pfrom_ints(d_tag: int, coeffs) -> List[QElem]:
-    return _ptrim([QElem.of(d_tag, c) for c in coeffs])
-
-
-def _pis_zero(p: List[QElem]) -> bool:
-    return all(c.is_zero for c in p)
-
-
-def _psub(a: List[QElem], b: List[QElem]) -> List[QElem]:
-    n = max(len(a), len(b))
-    z = QElem.zero(a[0].d)
-    out = [(a[i] if i < len(a) else z) - (b[i] if i < len(b) else z) for i in range(n)]
-    return _ptrim(out)
-
-
-def _pscale(p: List[QElem], c: QElem) -> List[QElem]:
-    return _ptrim([c * x for x in p])
+# -- polynomials over Q(sqrt(D)): lists of QElem, low degree first, with no
+# trailing zero, so that the zero polynomial is [] ----------------------------
 
 
 def _pmod(a: List[QElem], b: List[QElem]) -> List[QElem]:
     """Remainder of a by b, b nonzero."""
     a = a[:]
     lead_inv = b[-1].inverse()
-    while len(a) >= len(b) and not _pis_zero(a):
-        q = a[-1] * lead_inv
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
+    while len(a) >= len(b):
+        q = a.pop() * lead_inv  # cancels the leading term exactly
+        shift = len(a) - len(b) + 1
+        for i, bc in enumerate(b[:-1]):
             a[shift + i] = a[shift + i] - q * bc
-        a = _ptrim(a)
-        if len(a) < len(b) or _pis_zero(a):
-            break
+        while a and a[-1].is_zero:
+            a.pop()
     return a
 
 
 def _pgcd_monic(a: List[QElem], b: List[QElem]) -> List[QElem]:
-    while not _pis_zero(b):
+    """The monic gcd of a and b, b nonzero."""
+    while b:
         a, b = b, _pmod(a, b)
-    return _pscale(a, a[-1].inverse())
+    lead_inv = a[-1].inverse()
+    return [lead_inv * c for c in a]
 
 
-def _pat_matrix(p: List[QElem], m: QMatrix) -> QMatrix:
-    """Evaluate the polynomial at a square matrix (Horner)."""
-    n = m.rows
-    acc = QMatrix.identity(m.d, n).scale(p[-1])
+def _pat_matrix(p, m: QMatrix) -> QMatrix:
+    """The polynomial, with int or QElem coefficients, at a square matrix
+    (Horner)."""
+    ident = QMatrix.identity(m.d, m.rows)
+    acc = ident.scale(p[-1])
     for c in reversed(p[:-1]):
-        acc = acc @ m
-        acc = acc + QMatrix.identity(m.d, n).scale(c)
+        acc = acc @ m + ident.scale(c)
     return acc
 
 
 # -- half-factors of split cyclotomic polynomials ----------------------------
-
-
-def _zreduce(poly, phi_poly):
-    """Reduce an integer polynomial modulo the monic integer polynomial."""
-    out = list(poly)
-    deg = len(phi_poly) - 1
-    for k in range(len(out) - 1, deg - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for i in range(deg):
-                out[k - deg + i] -= c * phi_poly[i]
-    out = out[:deg] + [0] * max(0, deg - len(out))
-    return out[:deg]
 
 
 def split_half_factor(d: int, d_tag: int) -> List[QElem]:
@@ -100,29 +63,22 @@ def split_half_factor(d: int, d_tag: int) -> List[QElem]:
 
     The Gauss sum g = sum chi(b) zeta^{b d/|disc|} satisfies g = sqrt(disc)
     under the principal embedding, so gcd(Phi_d, g(T) - c*sqrt(D)) with
-    c = sqrt(disc/D) isolates the +1 orbit.
+    c = sqrt(disc/D) isolates the +1 orbit.  The Gauss polynomial is left
+    unreduced (its degree is below d); the gcd's first remainder reduces it
+    mod Phi_d.
     """
     if not is_reducible(d, d_tag):
         raise ValueError(f"({d}, {d_tag}) does not split")
     disc = cyclo.field_discriminant(d_tag)
     f = abs(disc)
-    phi_poly = list(cyclotomic_polynomial(d))
-    deg = len(phi_poly) - 1
     step = d // f
-    gauss = [0] * deg
-    for b in range(1, f):
-        ch = kronecker(disc, b)
-        if ch == 0:
-            continue
-        red = _zreduce([0] * ((b * step) % d) + [1], phi_poly)
-        for i, v in enumerate(red):
-            gauss[i] += ch * v
-    scale = 1 if disc == d_tag else 2  # sqrt(disc) = scale * sqrt(D)
-    target = _pfrom_ints(d_tag, gauss)
-    target = _psub(target, [QElem.of(d_tag, 0, scale)])
-    phi_q = _pfrom_ints(d_tag, phi_poly)
-    half = _pgcd_monic(phi_q, target)
-    if len(half) - 1 != deg // 2:
+    c = 1 if disc == d_tag else 2  # sqrt(disc) = c * sqrt(D)
+    phi = [QElem.of(d_tag, k) for k in cyclotomic_polynomial(d)]
+    target = [QElem.of(d_tag, 0, -c)] + [
+        QElem.of(d_tag, 0 if k % step else kronecker(disc, k // step))
+        for k in range(1, (f - 1) * step + 1)]
+    half = _pgcd_monic(target, phi)
+    if len(half) - 1 != (len(phi) - 1) // 2:
         raise InternalCheckError(
             f"half factor of Phi_{d} over Q(sqrt({d_tag})) has wrong degree"
         )
@@ -157,35 +113,23 @@ def eigen_exponents(m: QMatrix, max_order: int = 1000) -> EigenSystem:
     for e in range(1, order + 1):
         if order % e:
             continue
-        phi_e = _pfrom_ints(m.d, cyclotomic_polynomial(e))
-        dim_e = _pat_matrix(phi_e, m).kernel_dimension()
+        dim_e = _pat_matrix(cyclotomic_polynomial(e), m).kernel_dimension()
         if dim_e == 0:
             continue
         total += dim_e
         if e >= 3 and is_reducible(e, m.d):
-            half = split_half_factor(e, m.d)
-            dim_plus = _pat_matrix(half, m).kernel_dimension()
-            dim_minus = dim_e - dim_plus
+            dim_plus = _pat_matrix(split_half_factor(e, m.d), m).kernel_dimension()
             plus, minus = cyclo.orbit_sets(e, m.d)
-            for orbit, dim in ((plus, dim_plus), (minus, dim_minus)):
-                if dim == 0:
-                    continue
-                mult, rem = divmod(dim, len(orbit.members))
-                if rem:
-                    raise InternalCheckError(
-                        f"orbit multiplicity of Phi_{e} half is not integral"
-                    )
-                for a in orbit.members:
-                    exponents.extend([a * (order // e)] * mult)
+            parts = ((plus.members, dim_plus), (minus.members, dim_e - dim_plus))
         else:
-            units = list(cyclo.units_mod(e))
-            mult, rem = divmod(dim_e, len(units))
+            parts = ((cyclo.units_mod(e), dim_e),)
+        for members, dim in parts:
+            mult, rem = divmod(dim, len(members))
             if rem:
                 raise InternalCheckError(
                     f"eigenvalue multiplicity of Phi_{e} is not integral"
                 )
-            for a in units:
-                exponents.extend([a * (order // e)] * mult)
+            exponents.extend(a * (order // e) for a in members for _ in range(mult))
     if total != m.rows:
         raise InternalCheckError("eigenvalue multiplicities do not fill the space")
     return EigenSystem(order, tuple(sorted(exponents)))

@@ -363,10 +363,6 @@ class QMatrix:
     def column(cls, d: int, entries: Sequence) -> "QMatrix":
         return cls.from_rows(d, [[e] for e in entries])
 
-    @classmethod
-    def row(cls, d: int, entries: Sequence) -> "QMatrix":
-        return cls.from_rows(d, [list(entries)])
-
     # -- access ------------------------------------------------------------
 
     def _entry(self, k: int) -> QElem:

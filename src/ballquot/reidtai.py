@@ -16,8 +16,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, Dict, Optional, Tuple
 
-from .cyclo import (OrbitSet, euler_phi, full_orbit, is_reducible, kronecker,
-                    orbit_sets, phi_sieve, suitable_fields, units_mod)
+from .cyclo import (OrbitSet, full_orbit, is_reducible, kronecker, orbit_sets,
+                    phi_sieve, suitable_fields, units_mod)
 from .qfield import frac
 
 DFilter = Optional[Callable[[int], bool]]
@@ -189,16 +189,9 @@ def mc_literal_reading(r: int, d_filter: DFilter = None) -> Fraction:
     return min(cands)
 
 
-def exceptional_lower_bound(r: int) -> Fraction:
-    """The coarse estimate sum_{j=1}^{phi(r)/2 - 1} j/r."""
-    if r < 3:
-        raise ValueError("exceptional_lower_bound expects r >= 3")
-    half = euler_phi(r) // 2
-    return Fraction((half - 1) * half, 2 * r)
-
-
 def enumerate_exceptional_orders(limit: int):
-    """All r in [3, limit] whose coarse estimate stays below 1."""
+    """All r in [3, limit] whose coarse estimate
+    sum_{j=1}^{phi(r)/2 - 1} j/r stays below 1."""
     if limit < 3:
         raise ValueError("limit must be at least 3")
     ph = phi_sieve(limit)
@@ -291,33 +284,7 @@ def hom_contribution(d: int, r: int, k1: int, d_tag: Optional[int]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dimension counting and the case analysis
-
-
-@dataclass(frozen=True)
-class DecompositionProfile:
-    """Multiplicities of the isotypic pieces in an (n+1)-dimensional module."""
-
-    n: int
-    r: int
-    lam: int
-    nu: Dict[int, int]
-    dim_vr: int
-
-    def __post_init__(self):
-        for d in self.nu:
-            if d not in DIMENSION_COEFF:
-                raise ValueError(f"unknown isotypic order d={d}")
-
-
-def dimension_count(profile: DecompositionProfile) -> int:
-    """dim_vr * lambda + sum over d of coeff(d) * nu_d."""
-    total = profile.dim_vr * profile.lam
-    for d, mult in profile.nu.items():
-        if d not in DIMENSION_COEFF:
-            raise ValueError(f"unknown isotypic order d={d}")
-        total += DIMENSION_COEFF[d] * mult
-    return total
+# the case analysis
 
 
 PHI2 = "PHI2"

@@ -255,6 +255,32 @@ def test_is_in_nf_agrees_with_form_preservation():
     assert outsiders_seen > 0.9 * 6 * members_seen
 
 
+def test_is_in_wf_agrees_with_nf_at_unit_torus():
+    """Oracle: W(F) is the part of N(F) with u = z = 1 and X = I, on members
+    of W(F) and N(F) and on members with one entry of one block shifted."""
+    rng = random.Random(29)
+    in_wf = out_of_wf = 0
+    for d_tag in (-5, -6, -7, -15):
+        for n in (2, 3, 4):
+            frame = cusp.random_frame(rng, d_tag, n)
+            one, ident = QElem.one(d_tag), QMatrix.identity(d_tag, n - 1)
+            wf = cusp.random_wf_element(rng, frame)
+            members = [wf, wf.inverse(), -wf,
+                       wf.compose(cusp.random_wf_element(rng, frame)),
+                       uf_translation(frame, cusp.random_rational(rng, 3, 2)),
+                       cusp.random_nf_element(rng, frame),
+                       cusp.random_order2_element(rng, frame).element]
+            for g in members:
+                for h in [g, *_shift_each_block(rng, g)]:
+                    want = (h.u == one and h.z == one and h.x_mat == ident
+                            and is_in_NF(h, frame))
+                    assert is_in_WF(h, frame) == want
+                    in_wf += want
+                    out_of_wf += not want
+    # the four W(F) members of each frame, and a few shifts that stay in it
+    assert in_wf >= 4 * 4 * 3 and out_of_wf > in_wf
+
+
 def test_nf_group_laws():
     rng = random.Random(5)
     for _ in range(10):

@@ -129,7 +129,7 @@ def test_equal_values_by_different_routes():
                   QElem(-6, F(1, 2), 0),
                   QElem.of(-6, 1) / 2,
                   QElem.of(-6, 2).inverse(),
-                  (QMatrix.row(-6, [1, F(1, 4)]) @ QMatrix.column(-6, [F(1, 4), 1])).scalar(),
+                  (QMatrix.from_rows(-6, [[1, F(1, 4)]]) @ QMatrix.column(-6, [F(1, 4), 1])).scalar(),
                   QMatrix.from_rows(-6, [[2]]).inverse().scalar(),
                   QMatrix.from_rows(-6, [[F(1, 2)]]).det()):
         assert other == half and hash(other) == hash(half)
@@ -271,7 +271,7 @@ def test_in_ring_closure():
 def test_hermitian_adjoint_examples():
     ident = QMatrix.identity(-5, 3)
     assert ident.h == ident
-    row = QMatrix.row(-1, [QElem.sqrt_d(-1), QElem.one(-1)])
+    row = QMatrix.from_rows(-1, [[QElem.sqrt_d(-1), QElem.one(-1)]])
     col = row.h
     assert col.rows == 2 and col.cols == 1
     assert col.at(0, 0) == -QElem.sqrt_d(-1)

@@ -9,15 +9,14 @@ from ballquot.certificates import verify_claim
 from ballquot.cyclo import (FULL, OrbitSet, euler_phi, full_orbit, kronecker,
                             orbit_sets, suitable_fields, units_mod)
 from ballquot.qfield import frac, is_squarefree
-from ballquot.reidtai import (CASE_FAMILIES, DIMENSION_COEFF,
-                              DecompositionProfile, EigenSystem, MinWitness,
-                              _orbit_sum_at, admissible_orbits, c_min,
-                              c_min_red, c_min_red_with_witness, case_analysis,
-                              dimension_count, enumerate_exceptional_orders,
-                              enumerate_small_d, exceptional_lower_bound,
-                              hom_contribution, is_quasi_reflection, mc,
-                              mc_for_field, mc_literal_reading,
-                              mc_with_witness, orbit_minimum,
+from ballquot.reidtai import (CASE_FAMILIES, DIMENSION_COEFF, EigenSystem,
+                              MinWitness, _orbit_sum_at, admissible_orbits,
+                              c_min, c_min_red, c_min_red_with_witness,
+                              case_analysis, enumerate_exceptional_orders,
+                              enumerate_small_d, hom_contribution,
+                              is_quasi_reflection, mc, mc_for_field,
+                              mc_literal_reading, mc_with_witness,
+                              orbit_minimum,
                               pooled_contribution, qr_allowed_patterns,
                               reid_tai_sum, sigma_prime)
 
@@ -323,16 +322,6 @@ def test_c_min_red_witness_matches_quadratic():
 # ---------------------------------------------------------------------------
 # enumerations
 
-def test_exceptional_lower_bound_examples():
-    assert exceptional_lower_bound(66) == F(45, 66)
-    assert exceptional_lower_bound(32) == F(28, 32)
-    assert exceptional_lower_bound(3) == 0
-    # direct sum oracle
-    for r in (12, 30, 66, 90, 97):
-        half = euler_phi(r) // 2
-        assert exceptional_lower_bound(r) == sum(F(j, r) for j in range(1, half))
-
-
 def test_enumerate_exceptional_orders():
     got = enumerate_exceptional_orders(200)
     # independent evaluation through the Fraction sum
@@ -448,17 +437,6 @@ def test_hom_contribution_split_matches_kronecker_halves():
 def test_hom_contribution_unit_check():
     with pytest.raises(ValueError):
         hom_contribution(4, 6, 2, None)
-
-
-def test_dimension_count():
-    prof = DecompositionProfile(n=9, r=3, lam=1,
-                                nu={1: 2, 2: 1, 3: 1, 4: 1, 6: 0}, dim_vr=2)
-    assert dimension_count(prof) == 2 + 2 + 1 + 2 + 2 + 0
-    trivial = DecompositionProfile(n=9, r=1, lam=1, nu={}, dim_vr=10)
-    assert dimension_count(trivial) == 10
-    assert DIMENSION_COEFF[7] == 3 and DIMENSION_COEFF[14] == 3
-    with pytest.raises(ValueError):
-        DecompositionProfile(n=9, r=3, lam=1, nu={5: 1}, dim_vr=2)
 
 
 def test_dimension_coefficients_first_principles():
