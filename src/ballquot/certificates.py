@@ -20,6 +20,7 @@ import dataclasses
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -48,8 +49,6 @@ class RunConfig:
     r_limit: Optional[int] = None
     d_limit: Optional[int] = None
     seed: int = 0
-    fmt: str = "text"
-    out: Optional[str] = None
     perturb: bool = False
 
 
@@ -262,12 +261,26 @@ def _sweep_fields(cfg: RunConfig):
     return fields
 
 
-def _suite(cfg: RunConfig, rows: List[Dict], failures: List[Dict],
-           **search_bounds) -> Computed:
-    """A property sweep over fields, observed by its number of failures."""
-    return Computed(rows + [{"label": "failures", "value": failures}],
-                    {"failures": len(failures)}, inputs={"seed": cfg.seed},
-                    search_bounds=search_bounds)
+class _Checks:
+    """The checks of a property sweep over fields: how many ran, and where
+    each failing one was made."""
+
+    def __init__(self):
+        self.count = 0
+        self.failures: List[Dict] = []
+
+    def note(self, cond: bool, **where) -> None:
+        self.count += 1
+        if not cond:
+            self.failures.append(where)
+
+    def computed(self, cfg: RunConfig, *rows: Dict, **search_bounds) -> Computed:
+        """The sweep observed by its number of failures: the given report
+        rows, then the check count and the failures."""
+        return Computed([*rows, {"label": "checks", "value": self.count},
+                         {"label": "failures", "value": self.failures}],
+                        {"failures": len(self.failures)}, inputs={"seed": cfg.seed},
+                        search_bounds=search_bounds)
 
 
 def _random_unnormalized(rng, frame: cusp.CuspFrame):
@@ -283,41 +296,36 @@ def _random_unnormalized(rng, frame: cusp.CuspFrame):
 def _claim_cusp_suite(cfg: RunConfig) -> Computed:
     rng = random.Random(cfg.seed)
     fields = _sweep_fields(cfg)
-    failures, checks = [], 0
+    checks = _Checks()
     for d_tag in fields:
         for i in range(FRAMES_PER_FIELD):
             n = rng.choice((2, 2, 3, 3, 4))
             frame = cusp.random_frame(rng, d_tag, n)
             q = frame.q_matrix()
-
-            def note(cond, what):
-                nonlocal checks
-                checks += 1
-                if not cond:
-                    failures.append({"D": d_tag, "frame": i, "check": what})
+            note = partial(checks.note, D=d_tag, frame=i)
 
             qprime = _random_unnormalized(rng, frame)
             n_mat, recovered = cusp.normalize_cusp_basis(qprime, n)
             note(n_mat.h @ qprime @ n_mat == recovered.q_matrix(),
-                 "normalization block shape")
+                 check="normalization block shape")
             note(recovered.a == frame.a and recovered.b_mat == frame.b_mat,
-                 "normalization preserves (a, B)")
+                 check="normalization preserves (a, B)")
 
             g1 = cusp.random_nf_element(rng, frame)
             g2 = cusp.random_nf_element(rng, frame)
             note(cusp.is_in_NF(g1, frame) and cusp.is_in_NF(g2, frame),
-                 "membership of constructed elements")
-            note(cusp.is_in_NF(g1.compose(g2), frame), "closure under product")
-            note(cusp.is_in_NF(g1.inverse(), frame), "closure under inverse")
-            note(g1.mat.h @ q @ g1.mat == q, "form preservation")
+                 check="membership of constructed elements")
+            note(cusp.is_in_NF(g1.compose(g2), frame), check="closure under product")
+            note(cusp.is_in_NF(g1.inverse(), frame), check="closure under inverse")
+            note(g1.mat.h @ q @ g1.mat == q, check="form preservation")
 
             w1 = cusp.random_wf_element(rng, frame)
             w2 = cusp.random_wf_element(rng, frame)
             note(cusp.is_in_WF(w1, frame) and cusp.is_in_WF(w1.compose(w2), frame),
-                 "radical membership and closure")
+                 check="radical membership and closure")
             u0 = cusp.random_uf_element(rng, frame)
-            note(cusp.is_in_UF(u0, frame), "centre membership")
-            note(u0.compose(w1) == w1.compose(u0), "centrality in the radical")
+            note(cusp.is_in_UF(u0, frame), check="centre membership")
+            note(u0.compose(w1) == w1.compose(u0), check="centrality in the radical")
 
             pt = cusp.BoundaryPoint(
                 cusp.random_qelem(rng, d_tag),
@@ -326,12 +334,11 @@ def _claim_cusp_suite(cfg: RunConfig) -> Computed:
             lhs = cusp.apply_boundary_action(g1.compose(g2), pt, frame)
             rhs = cusp.apply_boundary_action(
                 g1, cusp.apply_boundary_action(g2, pt, frame), frame)
-            note(lhs == rhs, "action compatibility with composition")
-    return _suite(cfg, [{"label": "checks", "value": checks}], failures,
-                  fields=fields, frames_per_field=FRAMES_PER_FIELD)
+            note(lhs == rhs, check="action compatibility with composition")
+    return checks.computed(cfg, fields=fields, frames_per_field=FRAMES_PER_FIELD)
 
 
-def _brute_sigma(a: QElem, d_tag: int, max_steps: int = 10 ** 6) -> Fraction:
+def _brute_sigma(a: QElem, d_tag: int) -> Fraction:
     """Independent oracle: scan a sound grid for the least x > 0 with
     x*a*sqrt(D) integral, testing ring membership directly."""
     step = None
@@ -341,7 +348,7 @@ def _brute_sigma(a: QElem, d_tag: int, max_steps: int = 10 ** 6) -> Fraction:
         g = Fraction(c.denominator, abs(c.numerator))
         step = g if step is None else cusp._lcm_fractions(step, g)
     sqrt_d = QElem.sqrt_d(d_tag)
-    for m in range(1, max_steps + 1):
+    for m in range(1, 10 ** 6 + 1):
         x = m * step
         if in_ring_of_integers(a * sqrt_d * QElem.of(d_tag, x)):
             return x
@@ -351,7 +358,7 @@ def _brute_sigma(a: QElem, d_tag: int, max_steps: int = 10 ** 6) -> Fraction:
 def _claim_sigma_oracle(cfg: RunConfig) -> Computed:
     rng = random.Random(cfg.seed + 1)
     fields = _sweep_fields(cfg)
-    failures, checks = [], 0
+    checks = _Checks()
     for d_tag in fields:
         cases = [
             QElem.of(d_tag, cusp.random_rational(rng, 6, 5), 0),  # f = 0
@@ -361,19 +368,16 @@ def _claim_sigma_oracle(cfg: RunConfig) -> Computed:
         while len(cases) < SIGMA_PER_FIELD + 2:
             cases.append(cusp.random_qelem(rng, d_tag, 5, 5, nonzero=True))
         for a in cases:
-            checks += 1
             got = cusp.uf_lattice_generator(a, d_tag)
             want = _brute_sigma(a, d_tag)
-            if got != want:
-                failures.append({"D": d_tag, "a": a, "got": got, "oracle": want})
-    return _suite(cfg, [{"label": "checks", "value": checks}], failures,
-                  fields=fields, per_field=SIGMA_PER_FIELD + 2)
+            checks.note(got == want, D=d_tag, a=a, got=got, oracle=want)
+    return checks.computed(cfg, fields=fields, per_field=SIGMA_PER_FIELD + 2)
 
 
 def _claim_sigma_lcm(cfg: RunConfig) -> Computed:
     rng = random.Random(cfg.seed + 2)
     fields = [d for d in _sweep_fields(cfg) if d % 4 in (2, 3)]
-    failures, checks = [], 0
+    checks = _Checks()
     for d_tag in fields:
         dprime = -d_tag
         for _ in range(SIGMA_PER_FIELD):
@@ -381,7 +385,6 @@ def _claim_sigma_lcm(cfg: RunConfig) -> Computed:
             f = cusp.random_rational(rng, 4, 4)
             if e == 0 or f == 0:
                 continue
-            checks += 1
             a = QElem.of(d_tag, e, f)
             p, q = abs(e.numerator), e.denominator
             r, s = abs(f.numerator), f.denominator
@@ -390,16 +393,14 @@ def _claim_sigma_lcm(cfg: RunConfig) -> Computed:
                 r * dprime * p,
             )
             got = cusp.uf_lattice_generator(a, d_tag)
-            if got != formula:
-                failures.append({"D": d_tag, "a": a, "got": got, "formula": formula})
-    return _suite(cfg, [{"label": "checks", "value": checks}], failures,
-                  fields=fields, per_field=SIGMA_PER_FIELD)
+            checks.note(got == formula, D=d_tag, a=a, got=got, formula=formula)
+    return checks.computed(cfg, fields=fields, per_field=SIGMA_PER_FIELD)
 
 
 def _claim_boundary_order2(cfg: RunConfig) -> Computed:
     rng = random.Random(cfg.seed + 3)
     fields = _sweep_fields(cfg)
-    failures, checks, elements = [], 0, 0
+    checks = _Checks()
     half = Fraction(1, 2)
     for d_tag in fields:
         for i in range(ORDER2_PER_FIELD):
@@ -407,31 +408,24 @@ def _claim_boundary_order2(cfg: RunConfig) -> Computed:
             frame = cusp.random_frame(rng, d_tag, n)
             inst = cusp.random_order2_element(rng, frame)
             g, w0, x0 = inst.element, inst.fixed_point, inst.sigma_gen
-            elements += 1
-
-            def note(cond, what):
-                nonlocal checks
-                checks += 1
-                if not cond:
-                    failures.append({"D": d_tag, "instance": i, "check": what})
-
-            note(cusp.is_in_NF(g, frame), "stabiliser membership")
+            note = partial(checks.note, D=d_tag, instance=i)
+            note(cusp.is_in_NF(g, frame), check="stabiliser membership")
             gsq = g.compose(g)
             note(cusp.is_in_UF(gsq, frame)
                  and cusp.in_sigma_lattice(gsq.w, frame, x0),
-                 "square lies in the integral centre")
-            note(cusp.fixes_boundary_point(g, w0), "fixes the boundary point")
-            note(cusp.check_qr_congruences(g, frame, x0), "congruence relations")
+                 check="square lies in the integral centre")
+            note(cusp.fixes_boundary_point(g, w0), check="fixes the boundary point")
+            note(cusp.check_qr_congruences(g, frame, x0), check="congruence relations")
             es = cusp.boundary_tangent_exponents(g, w0, frame, x0)
             note(all(Fraction(a, es.order) in (0, half) for a in es.exponents),
-                 "tangent exponents in {0, 1/2}")
+                 check="tangent exponents in {0, 1/2}")
             if not is_quasi_reflection(es):
-                note(reid_tai_sum(es) >= 1, "non-reflection sum >= 1")
+                note(reid_tai_sum(es) >= 1, check="non-reflection sum >= 1")
             note(cusp.boundary_divisor_fixed(g, frame) is False,
-                 "no fixed boundary divisor")
-    return _suite(cfg, [{"label": "elements", "value": elements},
-                        {"label": "checks", "value": checks}], failures,
-                  fields=fields, per_field=ORDER2_PER_FIELD)
+                 check="no fixed boundary divisor")
+    return checks.computed(cfg, {"label": "elements",
+                                 "value": len(fields) * ORDER2_PER_FIELD},
+                           fields=fields, per_field=ORDER2_PER_FIELD)
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +636,8 @@ def validate_config(cfg: RunConfig) -> None:
     Raises UnknownClaimError when the selectors select no claim or one of
     them matches none, and ConfigError for a |D| window with LO > HI, for a
     window without a field to sweep when a selected claim sweeps fields, for
-    a limit outside the accepted range of a selected claim that reads it,
-    and for a report file in a directory that does not exist.
+    and for a limit outside the accepted range of a selected claim that
+    reads it.
     """
     claims = [CLAIMS[claim_id] for claim_id in select_claims(cfg.claims)]
     lo, hi = cfg.d_range
@@ -657,9 +651,6 @@ def validate_config(cfg: RunConfig) -> None:
         if value is not None and not limit.accepts(value):
             raise ConfigError(f"claim {claim.claim_id} needs {limit.option} "
                               f"{limit.describe()}, got {value}")
-    import os
-    if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
-        raise ConfigError(f"no directory to write the report {cfg.out!r} to")
 
 
 def _certify_run(claim: Claim, cfg: RunConfig, expected=None) -> Certificate:

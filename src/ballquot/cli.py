@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
+from functools import partial
 from typing import List, Optional
 
 from .certificates import (CLAIMS, Certificate, ConfigError, RunConfig,
-                           UnknownClaimError, _render, run_claims,
-                           validate_config)
+                           UnknownClaimError, run_claims, validate_config)
 from .cyclo import InternalCheckError
 
 EXIT_OK = 0
@@ -67,20 +69,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _text_report(certs: List[Certificate], cfg: RunConfig) -> str:
+    dump = partial(json.dumps, sort_keys=True)
     lines = []
-    for cert in certs:
-        lines.append(f"claim {cert.claim_id}: {cert.verdict}")
-        if cert.bound_checked:
-            lines.append(f"  checks: {cert.bound_checked}")
-        if cert.search_bounds:
-            lines.append(f"  bounds: {json.dumps(_render(cert.search_bounds), sort_keys=True)}")
-        for item in cert.computed:
-            value = json.dumps(_render(item["value"]), sort_keys=True)
-            witness = ""
-            if "witness" in item:
-                witness = f"  [witness {json.dumps(_render(item['witness']), sort_keys=True)}]"
-            lines.append(f"  {item['label']} = {value}{witness}")
-        lines.append(f"  expected = {json.dumps(_render(cert.expected), sort_keys=True)}")
+    for obj in (cert.to_obj() for cert in certs):
+        lines.append(f"claim {obj['claim_id']}: {obj['verdict']}")
+        if obj["bound_checked"]:
+            lines.append(f"  checks: {obj['bound_checked']}")
+        if obj["bounds"]:
+            lines.append(f"  bounds: {dump(obj['bounds'])}")
+        for item in obj["computed"]:
+            witness = f"  [witness {dump(item['witness'])}]" if "witness" in item else ""
+            lines.append(f"  {item['label']} = {dump(item['value'])}{witness}")
+        lines.append(f"  expected = {dump(obj['expected'])}")
     n_pass = sum(1 for c in certs if c.passed())
     lines.append(f"summary: {len(certs)} claims, {n_pass} PASS, "
                  f"{len(certs) - n_pass} FAIL (seed={cfg.seed})")
@@ -89,33 +89,30 @@ def _text_report(certs: List[Certificate], cfg: RunConfig) -> str:
 
 def _json_report(certs: List[Certificate], cfg: RunConfig) -> str:
     doc = {
-        "config": {
-            "claims": list(cfg.claims),
-            "d_range": list(cfg.d_range),
-            "r_limit": cfg.r_limit,
-            "d_limit": cfg.d_limit,
-            "seed": cfg.seed,
-            "perturb": cfg.perturb,
-        },
+        "config": dataclasses.asdict(cfg),
         "certificates": [c.to_obj() for c in certs],
         "all_pass": all(c.passed() for c in certs),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def run_command(cfg: RunConfig) -> int:
-    """Exit 2 for a configuration rejected before any claim runs, 3 for any
-    error after that, else 1 if some certificate fails and 0 if none does."""
+def run_command(cfg: RunConfig, fmt: str, out: Optional[str]) -> int:
+    """Write the report of ``cfg`` in format ``fmt`` to the file ``out``, or to
+    standard output.  Exit 2 for a configuration or an ``out`` directory
+    rejected before any claim runs, 3 for any error after that, else 1 if
+    some certificate fails and 0 if none does."""
     try:
         validate_config(cfg)
+        if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise ConfigError(f"no directory to write the report {out!r} to")
     except (UnknownClaimError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         certs = run_claims(cfg)
-        report = _text_report(certs, cfg) if cfg.fmt == "text" else _json_report(certs, cfg)
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+        report = _text_report(certs, cfg) if fmt == "text" else _json_report(certs, cfg)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(report)
         else:
             sys.stdout.write(report)
@@ -140,7 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "show-tables":
-        return run_command(RunConfig(claims=TABLE_CLAIMS))
+        return run_command(RunConfig(claims=TABLE_CLAIMS), "text", None)
     if args.command == "list-claims":
         sys.stdout.write(list_claims())
         return EXIT_OK
@@ -150,11 +147,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         r_limit=args.r_limit,
         d_limit=args.d_limit,
         seed=args.seed,
-        fmt=args.format,
-        out=args.out,
         perturb=args.perturb,
     )
-    return run_command(cfg)
+    return run_command(cfg, args.format, args.out)
 
 
 def entry() -> None:

@@ -60,6 +60,10 @@ class CuspFrame:
             [self.a.conj(), z_row, zero],
         ])
 
+    def inner(self, x: QMatrix, y: QMatrix) -> QElem:
+        """The B-inner product x^H B y of two column vectors."""
+        return (x.h @ self.b_mat @ y).scalar()
+
 
 @dataclass(frozen=True)
 class BoundaryElement:
@@ -198,7 +202,7 @@ def _translation_relations(g: BoundaryElement, frame: CuspFrame,
     az = frame.a * g.z
     if not (xhb @ g.y + g.v.h.scale(az)).is_zero:
         return False
-    scal = (g.y.h @ frame.b_mat @ g.y).scalar() + az.conj() * g.w + az * g.w.conj()
+    scal = frame.inner(g.y, g.y) + az.conj() * g.w + az * g.w.conj()
     return scal.is_zero
 
 
@@ -272,15 +276,13 @@ def uf_lattice_generator(a: QElem, d_tag: int) -> Fraction:
     return gen
 
 
-def sigma_element(frame: CuspFrame, x0: Optional[Fraction] = None) -> QElem:
-    """The lattice period sigma = x0 * a * sqrt(D) as a field element."""
-    if x0 is None:
-        x0 = uf_lattice_generator(frame.a, frame.d)
+def sigma_element(frame: CuspFrame, x0: Fraction) -> QElem:
+    """x0 * a * sqrt(D) as a field element: the lattice period sigma when x0
+    is the lattice generator."""
     return frame.a * QElem.sqrt_d(frame.d) * QElem.of(frame.d, x0)
 
 
-def in_sigma_lattice(value: QElem, frame: CuspFrame,
-                     x0: Optional[Fraction] = None) -> bool:
+def in_sigma_lattice(value: QElem, frame: CuspFrame, x0: Fraction) -> bool:
     """Is value an integer multiple of the lattice period?"""
     q = value / sigma_element(frame, x0)
     return q.rt == 0 and q.re.denominator == 1
@@ -289,9 +291,8 @@ def in_sigma_lattice(value: QElem, frame: CuspFrame,
 def uf_translation(frame: CuspFrame, x: Fraction) -> BoundaryElement:
     """The central element translating the torus coordinate by x*a*sqrt(D)."""
     d, m = frame.d, frame.n - 1
-    w = frame.a * QElem.sqrt_d(d) * QElem.of(d, x)
     return BoundaryElement.from_blocks(
-        QElem.one(d), QMatrix.zero(d, 1, m), w,
+        QElem.one(d), QMatrix.zero(d, 1, m), sigma_element(frame, x),
         QMatrix.identity(d, m), QMatrix.zero(d, m, 1), QElem.one(d))
 
 
@@ -327,8 +328,7 @@ def fixes_boundary_point(g: BoundaryElement, w0: QMatrix) -> bool:
 
 
 def boundary_tangent_exponents(g: BoundaryElement, w0: QMatrix,
-                               frame: CuspFrame, sigma_gen: Fraction,
-                               max_order: int = 1000) -> EigenSystem:
+                               frame: CuspFrame, sigma_gen: Fraction) -> EigenSystem:
     """Eigenvalue exponents of the tangent action at a fixed boundary point.
 
     The torus direction contributes the rational exponent t / sigma where
@@ -347,7 +347,7 @@ def boundary_tangent_exponents(g: BoundaryElement, w0: QMatrix,
         raise ValueError("non-torsion boundary element: torus shift is not "
                          "a rational multiple of the period")
     tau = q.re % 1
-    es_x = eigen_exponents(g.x_mat, max_order=max_order)
+    es_x = eigen_exponents(g.x_mat)
     m = lcm(tau.denominator, es_x.order)
     exps = [int(tau * m)]
     exps.extend(a * (m // es_x.order) for a in es_x.exponents)
@@ -444,19 +444,21 @@ def random_b_unitary(rng, frame: CuspFrame) -> QMatrix:
         return x_mat
 
 
+def _b_orthogonalize(frame: CuspFrame, vecs, c: QMatrix) -> QMatrix:
+    """c minus its B-projections onto the mutually B-orthogonal vecs."""
+    for prev in vecs:
+        c = c - prev.scale(frame.inner(prev, c) / frame.inner(prev, prev))
+    return c
+
+
 def random_b_reflection_vectors(rng, frame: CuspFrame, count: int):
     """B-orthogonal anisotropic vectors spanning the -1 eigenspace."""
     d, m = frame.d, frame.n - 1
     vecs = []
     while len(vecs) < count:
-        c = random_vector(rng, d, m, max_num=2, max_den=1)
-        # B-orthogonalize against the chosen ones
-        for prev in vecs:
-            coeff = (prev.h @ frame.b_mat @ c).scalar() \
-                / (prev.h @ frame.b_mat @ prev).scalar()
-            c = c - prev.scale(coeff)
-        norm = (c.h @ frame.b_mat @ c).scalar()
-        if not norm.is_zero:
+        c = _b_orthogonalize(frame, vecs,
+                             random_vector(rng, d, m, max_num=2, max_den=1))
+        if not frame.inner(c, c).is_zero:
             vecs.append(c)
     return vecs
 
@@ -466,9 +468,8 @@ def involution_from_vectors(frame: CuspFrame, vecs) -> QMatrix:
     d, m = frame.d, frame.n - 1
     x_mat = QMatrix.identity(d, m)
     for c in vecs:
-        norm = (c.h @ frame.b_mat @ c).scalar()
         refl = QMatrix.identity(d, m) - (c @ (c.h @ frame.b_mat)).scale(
-            QElem.of(d, 2) * norm.inverse())
+            QElem.of(d, 2) * frame.inner(c, c).inverse())
         x_mat = x_mat @ refl
     return x_mat
 
@@ -480,9 +481,8 @@ def nf_element(frame: CuspFrame, x_mat: QMatrix, y: QMatrix, z: QElem,
     d = frame.d
     a = frame.a
     v = -(y.h @ frame.b_mat @ x_mat).scale((z.conj() * a.conj()).inverse())
-    beta = (y.h @ frame.b_mat @ y).scalar()
-    w = beta * QElem.of(d, Fraction(-1, 2)) * (z.conj() * a.conj()).inverse() \
-        + z * a * QElem.sqrt_d(d) * QElem.of(d, w_shift)
+    w = frame.inner(y, y) * QElem.of(d, Fraction(-1, 2)) \
+        * (z.conj() * a.conj()).inverse() + z * sigma_element(frame, w_shift)
     u = z.conj().inverse()
     return BoundaryElement.from_blocks(u, v, w, x_mat, y, z)
 
@@ -516,8 +516,7 @@ class Order2Instance:
     reflections: int
 
 
-def random_order2_element(rng, frame: CuspFrame,
-                          reflections: Optional[int] = None) -> Order2Instance:
+def random_order2_element(rng, frame: CuspFrame) -> Order2Instance:
     """Construct g with g^2 in the integral centre, plus a fixed point.
 
     X is a product of B-reflections, y lies in the (-1)-eigenspace, and the
@@ -526,7 +525,7 @@ def random_order2_element(rng, frame: CuspFrame,
     """
     d, m = frame.d, frame.n - 1
     x0 = uf_lattice_generator(frame.a, frame.d)
-    k = reflections if reflections is not None else rng.randint(1, m)
+    k = rng.randint(1, m)
     vecs = random_b_reflection_vectors(rng, frame, k)
     x_mat = involution_from_vectors(frame, vecs)
     lam = [random_rational(rng, 2, 2) for _ in range(k)]
@@ -536,12 +535,8 @@ def random_order2_element(rng, frame: CuspFrame,
     j = rng.randint(-3, 3)
     g = nf_element(frame, x_mat, y, QElem.one(d), Fraction(j, 2) * x0)
     # fixed point: w0 = y/2 plus anything B-orthogonal to the reflection span
-    w0 = y.scale(QElem.of(d, Fraction(1, 2)))
-    t = random_vector(rng, d, m, max_num=2, max_den=1)
-    for c in vecs:
-        coeff = (c.h @ frame.b_mat @ t).scalar() / (c.h @ frame.b_mat @ c).scalar()
-        t = t - c.scale(coeff)
-    w0 = w0 + t
+    w0 = y.scale(QElem.of(d, Fraction(1, 2))) + _b_orthogonalize(
+        frame, vecs, random_vector(rng, d, m, max_num=2, max_den=1))
     if rng.choice((False, True)):
         g = -g  # the overall sign acts trivially; exercises z = -1 handling
     return Order2Instance(g, w0, x0, k)

@@ -18,6 +18,9 @@ from .cyclo import InternalCheckError, cyclotomic_polynomial, is_reducible, kron
 from .qfield import QElem, QMatrix
 from .reidtai import EigenSystem
 
+# the largest matrix order searched for before a matrix counts as non-torsion
+MAX_ORDER = 1000
+
 # -- polynomials over Q(sqrt(D)): lists of QElem, low degree first, with no
 # trailing zero, so that the zero polynomial is [] ----------------------------
 
@@ -88,26 +91,26 @@ def split_half_factor(d: int, d_tag: int) -> List[QElem]:
 # -- eigen exponent extraction ----------------------------------------------
 
 
-def matrix_order(m: QMatrix, max_order: int = 1000) -> int:
+def matrix_order(m: QMatrix) -> int:
     if m.rows != m.cols:
         raise ValueError("order of a non-square matrix")
     ident = QMatrix.identity(m.d, m.rows)
     acc = m
-    for k in range(1, max_order + 1):
+    for k in range(1, MAX_ORDER + 1):
         if acc == ident:
             return k
         acc = acc @ m
-    raise ValueError(f"matrix order exceeds {max_order}; not torsion?")
+    raise ValueError(f"matrix order exceeds {MAX_ORDER}; not torsion?")
 
 
-def eigen_exponents(m: QMatrix, max_order: int = 1000) -> EigenSystem:
+def eigen_exponents(m: QMatrix) -> EigenSystem:
     """EigenSystem of a finite-order matrix, computed exactly.
 
     For each divisor e of the order, the multiplicity of the primitive
     e-th-root eigenvalues is a kernel dimension; split factors are refined
     into their two Kronecker orbits via the half-factor.
     """
-    order = matrix_order(m, max_order)
+    order = matrix_order(m)
     exponents: List[int] = []
     total = 0
     for e in range(1, order + 1):

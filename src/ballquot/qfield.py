@@ -464,28 +464,39 @@ class QMatrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _integer_rows(self):
-        """(re, rt): den * self as rows of integer coordinate lists."""
-        nc, re, rt = self.cols, self.re, self.rt
-        return ([list(re[i:i + nc]) for i in range(0, len(re), nc)],
-                [list(rt[i:i + nc]) for i in range(0, len(rt), nc)])
+    def _eliminate(self, augment: bool = False):
+        """Bareiss elimination of the integer rows of den*self.
 
-    def rank(self) -> int:
-        re, rt = self._integer_rows()
-        nr = self.rows
-        r, prev = 0, (1, 0)
-        for c in range(self.cols):
+        With ``augment`` the rows are those of [den*self | I] and every row
+        other than the pivot row is reduced, so that a nonsingular matrix
+        ends as [p*I | p*(den*self)^-1]; without it only the rows below the
+        pivot are.  Returns (rank, sign of the row swaps, last pivot (a, b)
+        standing for a + b*sqrt(D), re rows, rt rows).
+        """
+        nr, nc = self.rows, self.cols
+        re = [list(self.re[i:i + nc]) for i in range(0, nr * nc, nc)]
+        rt = [list(self.rt[i:i + nc]) for i in range(0, nr * nc, nc)]
+        if augment:
+            for i in range(nr):
+                re[i] += [int(i == j) for j in range(nr)]
+                rt[i] += [0] * nr
+        r, sign, prev = 0, 1, (1, 0)
+        for c in range(nc):
             piv = next((i for i in range(r, nr) if re[i][c] or rt[i][c]), None)
             if piv is None:
                 continue
-            re[r], re[piv] = re[piv], re[r]
-            rt[r], rt[piv] = rt[piv], rt[r]
-            _bareiss_step(self.d, re, rt, r, c, range(r + 1, nr), prev)
+            if piv != r:
+                re[r], re[piv] = re[piv], re[r]
+                rt[r], rt[piv] = rt[piv], rt[r]
+                sign = -sign
+            targets = [i for i in range(nr) if i != r] if augment else range(r + 1, nr)
+            _bareiss_step(self.d, re, rt, r, c, targets, prev)
             prev = (re[r][c], rt[r][c])
             r += 1
-            if r == nr:
-                break
-        return r
+        return r, sign, prev, re, rt
+
+    def rank(self) -> int:
+        return self._eliminate()[0]
 
     def kernel_dimension(self) -> int:
         return self.cols - self.rank()
@@ -493,51 +504,29 @@ class QMatrix:
     def inverse(self) -> "QMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        d, n, den = self.d, self.rows, self.den
-        re, rt = self._integer_rows()
-        for i in range(n):
-            re[i] += [0] * n
-            rt[i] += [0] * n
-            re[i][n + i] = 1
-        prev = (1, 0)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if re[i][c] or rt[i][c]), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            re[c], re[piv] = re[piv], re[c]
-            rt[c], rt[piv] = rt[piv], rt[c]
-            _bareiss_step(d, re, rt, c, c, [i for i in range(n) if i != c], prev)
-            prev = (re[c][c], rt[c][c])
+        d, n = self.d, self.rows
+        rank, _, (pr, pt), re, rt = self._eliminate(augment=True)
+        if rank < n:
+            raise ZeroDivisionError("matrix is singular")
         # [den*self | I] is now [p*I | p*(den*self)^-1] for the last pivot p,
         # so self^-1 = den * conj(p) * (right block) / norm(p)
-        pr, pt = prev
-        norm = pr * pr - d * pt * pt
         out_re, out_rt = [], []
-        for i in range(n):
-            for xr, xt in zip(re[i][n:], rt[i][n:]):
-                out_re.append((xr * pr - d * xt * pt) * den)
-                out_rt.append((xt * pr - xr * pt) * den)
-        return QMatrix(d, n, n, norm, out_re, out_rt)
+        for row_re, row_rt in zip(re, rt):
+            for xr, xt in zip(row_re[n:], row_rt[n:]):
+                out_re.append((xr * pr - d * xt * pt) * self.den)
+                out_rt.append((xt * pr - xr * pt) * self.den)
+        return QMatrix(d, n, n, pr * pr - d * pt * pt, out_re, out_rt)
 
     def det(self) -> QElem:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        d, n = self.d, self.rows
-        re, rt = self._integer_rows()
-        sign, prev = 1, (1, 0)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if re[i][c] or rt[i][c]), None)
-            if piv is None:
-                return QElem.zero(d)
-            if piv != c:
-                re[c], re[piv] = re[piv], re[c]
-                rt[c], rt[piv] = rt[piv], rt[c]
-                sign = -sign
-            _bareiss_step(d, re, rt, c, c, range(c + 1, n), prev)
-            prev = (re[c][c], rt[c][c])
+        n = self.rows
+        rank, sign, (pr, pt), _, _ = self._eliminate()
+        if rank < n:
+            return QElem.zero(self.d)
         # the last pivot is the determinant of den*self, up to the row swaps
         scale = self.den ** n
-        return _elem(d, Fraction(sign * prev[0], scale), Fraction(sign * prev[1], scale))
+        return _elem(self.d, Fraction(sign * pr, scale), Fraction(sign * pt, scale))
 
     def __str__(self):
         return "[" + "; ".join(

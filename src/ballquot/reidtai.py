@@ -162,7 +162,7 @@ def mc_for_field(r: int, d_tag: int) -> Fraction:
     return mc_unsplit(r)
 
 
-def mc_literal_reading(r: int, d_filter: DFilter = None) -> Fraction:
+def mc_literal_reading(r: int) -> Fraction:
     """Alternative quantifier reading: the conjugate exponent k2 ranges over
     the orbit and the summation set is cut out by the Kronecker side
     condition.  Kept for comparison; coincides with mc() because the orbit
@@ -171,8 +171,6 @@ def mc_literal_reading(r: int, d_filter: DFilter = None) -> Fraction:
         raise ValueError("orbit minimization needs r >= 3")
     cands = []
     for d_tag in suitable_fields(r):
-        if d_filter is not None and not d_filter(d_tag):
-            continue
         for orbit in orbit_sets(r, d_tag):
             for k2 in orbit.members:
                 k1 = (r - k2) % r
@@ -217,13 +215,12 @@ def enumerate_small_d(limit: int):
 
 
 def c_min(d: int) -> Fraction:
-    """min over shifts a of the full unit sum of {(b + a)/d}; 0 for d = 1."""
+    """min over shifts a of the full unit sum of {(b + a)/d}; 0 for d = 1, 2."""
     if d < 1:
         raise ValueError("c_min expects d >= 1")
-    units = [b for b in range(1, d) if gcd(b, d) == 1]
-    if not units:
+    if d < 3:
         return Fraction(0)
-    return Fraction(min(sum((b + a) % d for b in units) for a in range(d)), d)
+    return Fraction(_shift_minimum(full_orbit(d))[0], d)
 
 
 def _shift_minimum(orbit: OrbitSet) -> Tuple[int, int]:
@@ -243,11 +240,10 @@ def _shift_minimum(orbit: OrbitSet) -> Tuple[int, int]:
     return best
 
 
-def c_min_red_with_witness(d: int, d_filter: DFilter = None):
+def c_min_red_with_witness(d: int):
     if d < 3:
         raise ValueError("c_min_red expects d >= 3")
-    fields = [D for D in suitable_fields(d)
-              if d_filter is None or d_filter(D)]
+    fields = suitable_fields(d)
     if not fields:
         raise ValueError(f"no suitable splitting field for d={d}: use c_min instead")
     best = None
@@ -260,9 +256,9 @@ def c_min_red_with_witness(d: int, d_filter: DFilter = None):
     return Fraction(total, d), d_tag, label, a
 
 
-def c_min_red(d: int, d_filter: DFilter = None) -> Fraction:
+def c_min_red(d: int) -> Fraction:
     """Triple minimum over suitable fields, orbit halves, and shifts."""
-    return c_min_red_with_witness(d, d_filter)[0]
+    return c_min_red_with_witness(d)[0]
 
 
 def hom_contribution(d: int, r: int, k1: int, d_tag: Optional[int]) -> Fraction:

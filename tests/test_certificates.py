@@ -313,3 +313,70 @@ def test_cli_arithmetic_error_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "ArithmeticError" in err
+
+
+# ---------------------------------------------------------------------------
+# property sweeps whose checks fail
+
+def _rows(cert):
+    return {row["label"]: row["value"] for row in cert.computed}
+
+
+def _sweep_with_a_fault(monkeypatch, claim_id, name, fault):
+    """The claim's certificate on |D| in 5..6, then again with cusp.<name>
+    replaced by fault(original): (passing rows, failing certificate)."""
+    from ballquot import certificates, cusp
+    monkeypatch.setattr(certificates, "FRAMES_PER_FIELD", 3)
+    monkeypatch.setattr(certificates, "ORDER2_PER_FIELD", 3)
+    passing = verify_claim(claim_id, d_range=(5, 6))
+    assert passing.passed() and _rows(passing)["failures"] == []
+    monkeypatch.setattr(cusp, name, fault(getattr(cusp, name)))
+    failing = verify_claim(claim_id, d_range=(5, 6))
+    assert failing.verdict == "FAIL"
+    rows = _rows(failing)
+    # a failed check is still counted
+    assert rows["checks"] == _rows(passing)["checks"]
+    assert failing.computed[-1]["label"] == "failures"
+    return _rows(passing), failing
+
+
+def test_cusp_suite_lists_each_failed_check(monkeypatch):
+    passing, cert = _sweep_with_a_fault(monkeypatch, "cusp_suite", "is_in_UF",
+                                        lambda orig: lambda g, frame: False)
+    assert [row["label"] for row in cert.computed] == ["checks", "failures"]
+    assert _rows(cert)["failures"] == [
+        {"D": d, "frame": i, "check": "centre membership"}
+        for d in (-5, -6) for i in range(3)]
+    assert cert.to_obj()["computed"][1]["value"][0] == {
+        "D": -5, "check": "centre membership", "frame": 0}
+
+
+def test_boundary_order2_lists_each_failed_check(monkeypatch):
+    passing, cert = _sweep_with_a_fault(
+        monkeypatch, "boundary_order2", "fixes_boundary_point",
+        lambda orig: lambda g, w0: False)
+    assert [row["label"] for row in cert.computed] == ["elements", "checks", "failures"]
+    assert _rows(cert)["elements"] == passing["elements"] == 6
+    assert _rows(cert)["failures"] == [
+        {"D": d, "instance": i, "check": "fixes the boundary point"}
+        for d in (-5, -6) for i in range(3)]
+
+
+def _doubled_at_minus_6(orig):
+    return lambda a, d_tag: orig(a, d_tag) * (2 if d_tag == -6 else 1)
+
+
+@pytest.mark.parametrize("claim_id, reference", [("sigma_oracle", "oracle"),
+                                                 ("sigma_lcm_formula", "formula")])
+def test_sigma_sweeps_list_each_failed_case(monkeypatch, claim_id, reference):
+    passing, cert = _sweep_with_a_fault(monkeypatch, claim_id, "uf_lattice_generator",
+                                        _doubled_at_minus_6)
+    failures = _rows(cert)["failures"]
+    assert cert.search_bounds["fields"] == [-5, -6]
+    # the doubled generator fails at D = -6 only
+    assert 0 < len(failures) < passing["checks"]
+    if claim_id == "sigma_oracle":
+        assert len(failures) == cert.search_bounds["per_field"]
+    for f in failures:
+        assert list(f) == ["D", "a", "got", reference]
+        assert f["D"] == f["a"].d == -6 and f["got"] == 2 * f[reference]

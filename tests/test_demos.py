@@ -1,5 +1,6 @@
 """Every script in demos/ runs to completion against the package in src/,
-and every public name of the package is read by the package or a demo."""
+every public name of the package is read by the package or a demo, and
+every optional parameter of the package is set by one of them."""
 
 import ast
 import os
@@ -14,6 +15,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PACKAGE = ROOT / "src" / "ballquot"
 # the documented entry point for library users; nothing inside reads it
 DOCUMENTED_API = {"verify_claim"}
+# optional parameters left for callers outside the package: the argument
+# list of the command line, and the negative-control hook of the entry point
+DOCUMENTED_OPTIONS = {("main", "argv"), ("verify_claim", "expected")}
 
 
 def test_demos_exist():
@@ -48,3 +52,59 @@ def test_every_public_name_has_a_reader():
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     read = set().union(*map(_names_read, sources + DEMOS))
     assert sorted(exported - read - DOCUMENTED_API) == []
+
+
+def _defaulted_parameters(tree):
+    """(function name, parameter name, position or None) of every parameter
+    with a default; the position counts the arguments of a call, so a
+    method's self or cls is not counted, and keyword-only ones have none."""
+    methods = {id(f) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for f in node.body
+               if isinstance(f, ast.FunctionDef) and not any(
+                   isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                   for dec in f.decorator_list)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if id(node) in methods else 0
+        first = len(positional) - len(args.defaults)
+        for pos in range(first, len(positional)):
+            yield node.name, positional[pos].arg, pos - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _calls_setting(tree):
+    """(called name, parameter name or position) set by every call."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        if not any(isinstance(a, ast.Starred) for a in node.args):
+            for pos in range(len(node.args)):
+                yield name, pos
+        for kw in node.keywords:
+            if kw.arg is not None:
+                yield name, kw.arg
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    """A parameter with a default, of a function or method of the package,
+    is set by keyword or by position in some call in the package or in a
+    demo; an option that no caller sets is dead code."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sources + DEMOS]
+    set_by_calls = set().union(*(set(_calls_setting(t)) for t in trees))
+    unset = sorted(
+        f"{path.stem}.{func}({param})"
+        for path, tree in zip(sources, trees)
+        for func, param, pos in _defaulted_parameters(tree)
+        if (func, param) not in set_by_calls and (func, pos) not in set_by_calls
+        and (func, param) not in DOCUMENTED_OPTIONS)
+    assert unset == []

@@ -22,7 +22,7 @@ def test_matrix_order():
 def test_matrix_order_non_torsion():
     m = QMatrix.from_rows(-5, [[QElem.of(-5, 2)]])
     with pytest.raises(ValueError):
-        matrix_order(m, max_order=50)
+        matrix_order(m)
 
 
 def test_scalar_orbit_resolution():

@@ -162,11 +162,9 @@ def quadratic_mc_with_witness(r, d_filter=None):
     return best
 
 
-def quadratic_c_min_red_with_witness(d, d_filter=None):
+def quadratic_c_min_red_with_witness(d):
     best = None
     for d_tag in suitable_fields(d):
-        if d_filter is not None and not d_filter(d_tag):
-            continue
         for orbit in orbit_sets(d, d_tag):
             for a in range(d):
                 v = F(sum((b + a) % d for b in orbit.members), d)
@@ -313,10 +311,6 @@ def test_c_min_red_witness_matches_quadratic():
         if not suitable_fields(d):
             continue
         assert c_min_red_with_witness(d) == quadratic_c_min_red_with_witness(d), d
-        if any(D < -3 for D in suitable_fields(d)):
-            flt = lambda D: D < -3
-            assert (c_min_red_with_witness(d, flt)
-                    == quadratic_c_min_red_with_witness(d, flt)), d
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +343,21 @@ def test_enumerate_small_d():
 # ---------------------------------------------------------------------------
 # shifted minima
 
+def quadratic_c_min(d):
+    """The shifted full unit sum minimized over every shift directly."""
+    units = [b for b in range(1, d) if gcd(b, d) == 1]
+    if not units:
+        return F(0)
+    return F(min(sum((b + a) % d for b in units) for a in range(d)), d)
+
+
+def test_c_min_matches_quadratic():
+    for d in range(1, 201):
+        assert c_min(d) == quadratic_c_min(d), d
+    with pytest.raises(ValueError):
+        c_min(0)
+
+
 def test_c_min_examples():
     assert c_min(1) == 0
     assert c_min(2) == 0
@@ -379,8 +388,6 @@ def test_c_min_red_witness_cross_check():
 def test_c_min_red_requires_suitable_field():
     with pytest.raises(ValueError):
         c_min_red(5)
-    with pytest.raises(ValueError):
-        c_min_red(12, d_filter=lambda D: D < -3)
 
 
 def test_c_min_red_below_c_min():
