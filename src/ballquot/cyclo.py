@@ -6,6 +6,13 @@ primitive d-th roots of unity fall into two Kronecker-symbol orbits of size
 phi(d)/2.  This module computes totients, factorizations, the Kronecker
 symbol, the splitting test (with an independent character-based cross-check),
 and the orbit sets consumed by the fractional-part minimizations.
+
+The cross-check is a scan of a -> (D/a) over a in [1, 10d].  It returns the
+units of its first period split by sign, (D/a) = +1 and -1, or None where
+the character is not defined mod d, and the orbit sets are those two
+classes.  The scan reads (D/a) from kronecker at a = 1 and a = 2, from
+Euler's criterion D^((p-1)/2) mod p at odd primes p, and from complete
+multiplicativity everywhere else.
 """
 
 from __future__ import annotations
@@ -128,45 +135,61 @@ def _smallest_prime_factors(size: int):
     return spf
 
 
+def _euler_symbol(d_tag: int, p: int) -> int:
+    """(D/p) for an odd prime p by Euler's criterion: D^((p-1)/2) mod p is
+    0, 1 or p - 1, which stands for -1."""
+    v = pow(d_tag, (p - 1) // 2, p)
+    return -1 if v == p - 1 else v
+
+
 @lru_cache(maxsize=None)
-def _character_defined_mod(d: int, d_tag: int) -> bool:
+def _character_defined_mod(d: int, d_tag: int):
     """Scan test: is a -> kronecker(D, a) a nonvanishing character mod d?
 
     Checks constancy on residue classes over a in [1, 10d], nonvanishing on
-    units, and nontriviality.  The values come from a table filled in
-    increasing a by complete multiplicativity in a, (D/a) = (D/p)(D/(a/p))
-    for the smallest prime p | a, so kronecker runs only at 1 and at primes;
-    the table assumes no periodicity, which is what the scan tests.  Every
-    divisor of an a prime to d is prime to d, so only those a need an entry.
-    The first period a in [1, d] finds the units mod d by gcd, as far as the
-    scan gets, and holds each class's value; each later period visits only
-    the classes it found.
+    units, and nontriviality.  Returns the units of [1, d] with (D/a) = +1
+    and those with (D/a) = -1, as two ascending tuples, if all three hold;
+    these are the orbit sets.  Returns None otherwise.
+
+    The values come from a table filled in increasing a by complete
+    multiplicativity in a, (D/a) = (D/p)(D/(a/p)) for the smallest prime
+    p | a, so only 1 and primes are read directly: kronecker at 1 and 2,
+    where the symbol's own conventions apply, and Euler's criterion at odd
+    primes.  The table assumes no periodicity, which is what the scan tests.
+    Every divisor of an a prime to d is prime to d, so only those a need an
+    entry.  The first period a in [1, d] finds the units mod d by gcd, as
+    far as the scan gets, and holds each class's value; each later period
+    visits only the classes it found.
     """
     n = 10 * d
     spf = _smallest_prime_factors(1 << n.bit_length())
     table = [0] * (n + 1)
-    values = {}  # first a of each unit class mod d -> its value
+    classes = []  # (first a, its value) for each unit class mod d
     for a in range(1, d + 1):
         if gcd(a, d) != 1:
             continue
         p = spf[a]
-        v = table[p] * table[a // p] if p else kronecker(d_tag, a)
+        v = (table[p] * table[a // p] if p
+             else _euler_symbol(d_tag, a) if a > 2 else kronecker(d_tag, a))
         table[a] = v
         if v == 0:
-            return False
-        values[a] = v
-    classes = tuple(values.items())
+            return None
+        classes.append((a, v))
     for base in range(d, n, d):
         for first, value in classes:
             a = base + first
             p = spf[a]
-            v = table[p] * table[a // p] if p else kronecker(d_tag, a)
+            v = (table[p] * table[a // p] if p
+                 else _euler_symbol(d_tag, a) if a > 2 else kronecker(d_tag, a))
             table[a] = v
             if v == 0:
-                return False
+                return None
             if v != value:
-                return False
-    return -1 in values.values()
+                return None
+    minus = tuple(a for a, value in classes if value == -1)
+    if not minus:
+        return None
+    return tuple(a for a, value in classes if value == 1), minus
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +203,7 @@ def is_reducible(d: int, d_tag: int) -> bool:
         raise ValueError("is_reducible expects d >= 1")
     check_field_tag(d_tag)
     by_conductor = d % abs(field_discriminant(d_tag)) == 0
-    by_character = _character_defined_mod(d, d_tag)
+    by_character = _character_defined_mod(d, d_tag) is not None
     if by_conductor != by_character:
         raise InternalCheckError(
             f"reducibility criteria disagree for d={d}, D={d_tag}: "
@@ -213,26 +236,30 @@ class OrbitSet:
         return len(self.members)
 
 
+def _orbit(d: int, members: tuple, label: str, d_field) -> OrbitSet:
+    """An OrbitSet built without the public constructor's checks, for
+    members that are ascending units mod d by construction."""
+    orbit = object.__new__(OrbitSet)
+    orbit.__dict__.update(d=d, members=members, label=label, d_field=d_field)
+    return orbit
+
+
 def full_orbit(d: int) -> OrbitSet:
     if d < 3:
         raise ValueError("orbits are defined for d >= 3")
-    return OrbitSet(d, tuple(a for a in units_mod(d) if a != 0), FULL)
+    return _orbit(d, units_mod(d), FULL, None)
 
 
 def orbit_sets(d: int, d_tag: int):
-    """The (PLUS, MINUS) Kronecker orbits for a reducible (d, D) pair."""
+    """The (PLUS, MINUS) Kronecker orbits for a reducible (d, D) pair: the
+    classes of the character scan behind is_reducible."""
     if not is_reducible(d, d_tag):
         raise ValueError(f"no splitting: cyclotomic polynomial of order {d} "
                          f"is irreducible over Q(sqrt({d_tag}))")
-    plus, minus = [], []
-    for a in units_mod(d):
-        (plus if kronecker(d_tag, a) == 1 else minus).append(a)
+    plus, minus = _character_defined_mod(d, d_tag)
     if len(plus) != len(minus):
         raise InternalCheckError(f"unbalanced orbits for d={d}, D={d_tag}")
-    return (
-        OrbitSet(d, tuple(plus), PLUS, d_tag),
-        OrbitSet(d, tuple(minus), MINUS, d_tag),
-    )
+    return _orbit(d, plus, PLUS, d_tag), _orbit(d, minus, MINUS, d_tag)
 
 
 def complex_conjugate_orbit(orbit: OrbitSet) -> OrbitSet:

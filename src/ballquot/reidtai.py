@@ -170,15 +170,17 @@ def mc_literal_reading(r: int) -> Fraction:
     if r < 3:
         raise ValueError("orbit minimization needs r >= 3")
     cands = []
+    units = units_mod(r)
     for d_tag in suitable_fields(r):
+        side_of = {k: kronecker(d_tag, k) for k in units}
         for orbit in orbit_sets(r, d_tag):
             for k2 in orbit.members:
                 k1 = (r - k2) % r
-                side = kronecker(d_tag, k1)
+                side = side_of[k1]
                 total = sum(
                     (k2 + ki) % r
-                    for ki in units_mod(r)
-                    if ki != k1 and kronecker(d_tag, ki) == side
+                    for ki in units
+                    if ki != k1 and side_of[ki] == side
                 )
                 cands.append(Fraction(total, r))
     full = full_orbit(r)

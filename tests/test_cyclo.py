@@ -232,15 +232,17 @@ def test_is_reducible_matches_character_scan(cold_scan_caches):
 @pytest.mark.parametrize("D, p", [(-7, 3), (-3, 2), (-1, 101), (-11, 5)])
 def test_character_scan_catches_one_wrong_table_value(D, p, monkeypatch,
                                                       cold_scan_caches):
-    # the scan's table reads kronecker at primes only; a wrong sign there
-    # must show as a disagreement with the oracle scan
-    true_kronecker = cyclo.kronecker
+    # the scan's table reads kronecker at 2 and Euler's criterion at odd
+    # primes; a wrong sign from the reader used at p must show as a
+    # disagreement with the oracle scan
+    reader = "kronecker" if p == 2 else "_euler_symbol"
+    true_reader = getattr(cyclo, reader)
 
     def wrong_at_p(a, n):
-        v = true_kronecker(a, n)
+        v = true_reader(a, n)
         return -v if (a, n) == (D, p) else v
 
-    monkeypatch.setattr(cyclo, "kronecker", wrong_at_p)
+    monkeypatch.setattr(cyclo, reader, wrong_at_p)
     bad = scan_disagreements()
     assert bad and all(pair[1] == D for pair in bad)
 
@@ -248,24 +250,69 @@ def test_character_scan_catches_one_wrong_table_value(D, p, monkeypatch,
 def test_scan_reads_kronecker_at_one_and_every_prime_prime_to_d(monkeypatch,
                                                                  cold_scan_caches):
     # under a character that is 1 everywhere no check exits early, so the
-    # scan must read kronecker at 1 and at every prime in [1, 10d] prime to
-    # d, in increasing order: at d = 1 every a is a unit (a = 0 mod 1), at
-    # d = 2 every odd a; a residue misplaced in the units found in the first
-    # period adds or drops a prime, or reads an unfilled table entry as 0
+    # scan must read kronecker at 1 and 2 and Euler's criterion at every odd
+    # prime in [1, 10d] prime to d, in increasing order: at d = 1 every a is
+    # a unit (a = 0 mod 1), at d = 2 every odd a; a residue misplaced in the
+    # units found in the first period adds or drops a prime, or reads an
+    # unfilled table entry as 0
     reads = []
 
-    def trivial(a, n):
-        reads.append(n)
-        return 1
+    def trivial(reader):
+        def read(a, n):
+            reads.append((reader, n))
+            return 1
+        return read
 
-    monkeypatch.setattr(cyclo, "kronecker", trivial)
+    monkeypatch.setattr(cyclo, "kronecker", trivial("kronecker"))
+    monkeypatch.setattr(cyclo, "_euler_symbol", trivial("euler"))
     for d in range(1, 60):
         reads.clear()
-        assert cyclo._character_defined_mod(d, -1) is False
+        assert cyclo._character_defined_mod(d, -1) is None
         primes = [p for p in range(2, 10 * d + 1)
                   if factorize(p) == ((p, 1),) and d % p]
-        assert reads == [1] + primes, d
+        assert reads == [("kronecker", 1)] + [
+            ("kronecker" if p == 2 else "euler", p) for p in primes], d
     assert cyclo._character_defined_mod.cache_info().currsize == 59
+
+
+def test_euler_symbol_matches_oracle():
+    # every odd prime below 2000, p | D included, where (D/p) = 0
+    primes = [p for p in range(3, 2000, 2) if factorize(p) == ((p, 1),)]
+    for D in SCAN_FIELDS:
+        for p in primes:
+            assert cyclo._euler_symbol(D, p) == kronecker_oracle(D, p), (D, p)
+
+
+def kronecker_orbit_sets(d, D):
+    """The orbits as kronecker reads them, one call per unit mod d."""
+    plus, minus = [], []
+    for a in units_mod(d):
+        (plus if kronecker(D, a) == 1 else minus).append(a)
+    return tuple(plus), tuple(minus)
+
+
+def test_orbit_sets_match_kronecker_per_unit():
+    pairs = 0
+    for d in range(3, 200):
+        for D in suitable_fields(d):
+            plus, minus = orbit_sets(d, D)
+            assert (plus.members, minus.members) == kronecker_orbit_sets(d, D), (d, D)
+            pairs += 1
+    assert pairs > 200
+
+
+def test_orbits_equal_their_public_rebuild():
+    # orbit_sets and full_orbit skip OrbitSet's checks; the public
+    # constructor must accept each orbit they return and rebuild it equal
+    for d in range(3, 200):
+        full = full_orbit(d)
+        assert full.members == tuple(a for a in range(1, d) if gcd(a, d) == 1)
+        orbits = [full]
+        for D in suitable_fields(d):
+            orbits.extend(orbit_sets(d, D))
+        for orbit in orbits:
+            rebuilt = OrbitSet(orbit.d, orbit.members, orbit.label, orbit.d_field)
+            assert rebuilt == orbit and hash(rebuilt) == hash(orbit), (d, orbit)
 
 
 def test_orbit_sets_examples():
