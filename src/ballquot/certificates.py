@@ -635,9 +635,8 @@ def validate_config(cfg: RunConfig) -> None:
 
     Raises UnknownClaimError when the selectors select no claim or one of
     them matches none, and ConfigError for a |D| window with LO > HI, for a
-    window without a field to sweep when a selected claim sweeps fields, for
-    and for a limit outside the accepted range of a selected claim that
-    reads it.
+    window without a field to sweep when a selected claim sweeps fields, and
+    for a limit outside the accepted range of a selected claim that reads it.
     """
     claims = [CLAIMS[claim_id] for claim_id in select_claims(cfg.claims)]
     lo, hi = cfg.d_range

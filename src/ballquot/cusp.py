@@ -323,7 +323,11 @@ def normalize_sign(g: BoundaryElement) -> BoundaryElement:
 
 
 def fixes_boundary_point(g: BoundaryElement, w0: QMatrix) -> bool:
-    g = normalize_sign(g)
+    return _fixes_point(normalize_sign(g), w0)
+
+
+def _fixes_point(g: BoundaryElement, w0: QMatrix) -> bool:
+    """fixes_boundary_point for an element with z = 1."""
     return g.x_mat @ w0 + g.y == w0
 
 
@@ -339,7 +343,7 @@ def boundary_tangent_exponents(g: BoundaryElement, w0: QMatrix,
     if not is_in_NF(g, frame):
         raise ValueError("element is not in the cusp stabiliser")
     g = normalize_sign(g)
-    if g.x_mat @ w0 + g.y != w0:
+    if not _fixes_point(g, w0):
         raise ValueError("element does not fix the boundary point")
     t = (g.v @ w0).scalar() + g.w
     q = t / sigma_element(frame, sigma_gen)
@@ -380,11 +384,10 @@ def boundary_divisor_fixed(g: BoundaryElement, frame: CuspFrame) -> bool:
     if not is_in_NF(g, frame):
         raise ValueError("element is not in the cusp stabiliser")
     g = normalize_sign(g)
-    ident = QMatrix.identity(g.d, frame.n - 1)
-    trivial = g.x_mat == ident and g.y.is_zero and g.v.is_zero
-    if trivial:
+    fixed = g.x_mat == QMatrix.identity(g.d, frame.n - 1) and g.y.is_zero
+    if fixed and g.v.is_zero:
         raise ValueError("element is trivial modulo the centre")
-    return g.x_mat == ident and g.y.is_zero
+    return fixed
 
 
 # ---------------------------------------------------------------------------

@@ -192,16 +192,17 @@ def _character_defined_mod(d: int, d_tag: int):
     return tuple(a for a, value in classes if value == 1), minus
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def is_reducible(d: int, d_tag: int) -> bool:
     """Does the d-th cyclotomic polynomial factor over Q(sqrt(D))?
 
     Criterion: the field discriminant divides d.  Cross-checked against the
-    character scan; disagreement raises InternalCheckError.
+    character scan; disagreement raises InternalCheckError.  The cache is
+    typed, so a tag that equals a valid one, such as -3.0, misses it and is
+    refused by field_discriminant.
     """
     if d < 1:
         raise ValueError("is_reducible expects d >= 1")
-    check_field_tag(d_tag)
     by_conductor = d % abs(field_discriminant(d_tag)) == 0
     by_character = _character_defined_mod(d, d_tag) is not None
     if by_conductor != by_character:

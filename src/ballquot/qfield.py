@@ -1,15 +1,16 @@
 """Exact arithmetic over imaginary quadratic fields.
 
-An element re + rt*sqrt(D) of Q(sqrt(D)), D < 0 squarefree, is a
-:class:`QElem`: the field tag D and two ``fractions.Fraction`` coordinates
-with respect to the basis (1, sqrt(D)).  A :class:`QMatrix` stores only
-integers: numerator pairs (a, b), standing for (a + b*sqrt(D)) / den, over
-one denominator den > 0, with gcd(den, all a, all b) = 1.  QElem entries
-are read by ``from_rows`` and built for callers by ``at``/``entries``.
+Every number of Q(sqrt(D)), D < 0 squarefree, is stored as integers only:
+numerators (a, b), standing for (a + b*sqrt(D)) / den, over one denominator
+den > 0, with gcd(den, all a, all b) = 1.  A :class:`QElem` holds one such
+pair, a :class:`QMatrix` one pair per entry; both forms are unique, so
+``==`` and hash compare values.  ``fractions.Fraction`` appears only at the
+edges: ``QElem(d, re, rt)`` and ``from_rows`` read int or Fraction
+coordinates, and ``re``, ``rt`` and ``norm()`` return them.
 
-Every matrix operation computes on those integers and reduces its result
-once.  A sum is taken over the least common denominator and a product is
-integer multiply-add.  Inversion, determinants and ranks use Bareiss's
+Every operation computes on those integers and reduces its result once.  A
+sum is taken over a common denominator and a product is integer
+multiply-add.  Inversion, determinants and ranks use Bareiss's
 fraction-free elimination (Math. Comp. 22, 1968) over Z[sqrt(D)]: every
 intermediate entry is a minor of the integer matrix, so each division by
 the previous pivot p is exact and is carried out as multiplication by
@@ -26,9 +27,6 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-
 
 class FieldTagError(ValueError):
     """Raised when elements of distinct quadratic fields are combined."""
@@ -51,19 +49,9 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-# The last tag that passed check_field_tag.  One slot, so that a sweep over
-# thousands of fields holds no more than a run over one.
-_checked_tag = None
-
-
 def check_field_tag(d: int) -> int:
-    global _checked_tag
-    if type(d) is int and d == _checked_tag:
-        return d
     if not isinstance(d, int) or d >= 0 or not is_squarefree(d):
         raise ValueError(f"field tag must be a squarefree negative integer, got {d!r}")
-    if type(d) is int:
-        _checked_tag = d
     return d
 
 
@@ -81,19 +69,25 @@ def fmt_rational(q: RationalLike) -> str:
 class QElem:
     """An element re + rt*sqrt(D) of the imaginary quadratic field Q(sqrt(D)).
 
-    Immutable; ``re`` and ``rt`` are always ``Fraction``.  Equality and
-    hashing go by the triple (d, re, rt).
+    Immutable; stored as the tag ``d`` and integers ``den``, ``a``, ``b``
+    standing for (a + b*sqrt(D)) / den in lowest terms, as one entry of a
+    QMatrix.  ``re`` and ``rt`` read the coordinates as ``Fraction``.
     """
 
-    __slots__ = ("d", "re", "rt")
+    __slots__ = ("d", "den", "a", "b")
 
     def __init__(self, d: int, re: RationalLike, rt: RationalLike):
         check_field_tag(d)
         if not (isinstance(re, (int, Fraction)) and isinstance(rt, (int, Fraction))):
             raise TypeError(f"coordinates must be int or Fraction, got {re!r}, {rt!r}")
+        # both coordinates are in lowest terms, so over the lcm of their
+        # denominators the three integers are coprime
+        p, q, r, s = re.numerator, re.denominator, rt.numerator, rt.denominator
+        den = lcm(q, s)
         _set_d(self, d)
-        _set_re(self, re if type(re) is Fraction else Fraction(re))
-        _set_rt(self, rt if type(rt) is Fraction else Fraction(rt))
+        _set_den(self, den)
+        _set_a(self, p * (den // q))
+        _set_b(self, r * (den // s))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -106,14 +100,23 @@ class QElem:
 
     def __eq__(self, other):
         if other.__class__ is QElem:
-            return (self.d, self.re, self.rt) == (other.d, other.re, other.rt)
+            return (self.a == other.a and self.b == other.b and self.den == other.den
+                    and self.d == other.d)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.d, self.re, self.rt))
+        return hash((self.d, self.den, self.a, self.b))
 
     def __repr__(self):
         return f"QElem(d={self.d!r}, re={self.re!r}, rt={self.rt!r})"
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.den)
+
+    @property
+    def rt(self) -> Fraction:
+        return Fraction(self.b, self.den)
 
     # -- constructors ------------------------------------------------------
 
@@ -141,12 +144,12 @@ class QElem:
                 raise FieldTagError(f"mixed field tags {self.d} and {other.d}")
             return other
         if isinstance(other, (int, Fraction)):
-            return _elem(self.d, Fraction(other), _ZERO)
+            return _elem(self.d, other.denominator, other.numerator, 0)
         return NotImplemented
 
     @property
     def is_zero(self) -> bool:
-        return not (self.re or self.rt)
+        return not (self.a or self.b)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -154,7 +157,7 @@ class QElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _elem(self.d, self.re + o.re, self.rt + o.rt)
+        return _sum(self, o.den, o.a, o.b)
 
     __radd__ = __add__
 
@@ -162,7 +165,7 @@ class QElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _elem(self.d, self.re - o.re, self.rt - o.rt)
+        return _sum(self, o.den, -o.a, -o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -171,40 +174,30 @@ class QElem:
         return o - self
 
     def __neg__(self):
-        return _elem(self.d, -self.re, -self.rt)
+        return _elem(self.d, self.den, -self.a, -self.b)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        # (a + b*sqrt(D)) * (c + e*sqrt(D)) on numerators over the one
-        # denominator of both coordinates of the product
-        a, b, c, e = self.re, self.rt, o.re, o.rt
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        cn, cd, en, ed = c.numerator, c.denominator, e.numerator, e.denominator
-        den = ad * bd * cd * ed
-        return _elem(self.d,
-                     Fraction(an * cn * bd * ed + self.d * bn * en * ad * cd, den),
-                     Fraction(an * en * bd * cd + bn * cn * ad * ed, den))
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return _elem(self.d, self.den * o.den, a * c + self.d * b * e, a * e + b * c)
 
     __rmul__ = __mul__
 
     def conj(self) -> "QElem":
-        return _elem(self.d, self.re, -self.rt)
+        return _elem(self.d, self.den, self.a, -self.b)
 
     def norm(self) -> Fraction:
         """Field norm x * conj(x) = re^2 - D*rt^2; positive for x != 0."""
-        return self.re * self.re - self.d * self.rt * self.rt
+        return Fraction(self.a * self.a - self.d * self.b * self.b, self.den * self.den)
 
     def inverse(self) -> "QElem":
-        # conj(x) / norm(x), with norm(x) = n / (ad*bd)^2
-        an, ad = self.re.numerator, self.re.denominator
-        bn, bd = self.rt.numerator, self.rt.denominator
-        n = (an * bd) ** 2 - self.d * (bn * ad) ** 2
+        # den * (a - b*sqrt(D)) / (a^2 - D*b^2), with a^2 - D*b^2 > 0 for x != 0
+        n = self.a * self.a - self.d * self.b * self.b
         if n == 0:
             raise ZeroDivisionError("inverse of zero element")
-        s = ad * bd
-        return _elem(self.d, Fraction(an * bd * s, n), Fraction(-bn * ad * s, n))
+        return _elem(self.d, n, self.den * self.a, -self.den * self.b)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -213,12 +206,12 @@ class QElem:
         return self * o.inverse()
 
     def __str__(self):
-        if self.rt == 0:
+        if self.b == 0:
             return fmt_rational(self.re)
         rt = fmt_rational(abs(self.rt))
-        sign = "-" if self.rt < 0 else "+"
-        head = "" if self.re == 0 and self.rt > 0 else fmt_rational(self.re) + sign
-        if self.re == 0 and self.rt < 0:
+        sign = "-" if self.b < 0 else "+"
+        head = "" if self.a == 0 and self.b > 0 else fmt_rational(self.re) + sign
+        if self.a == 0 and self.b < 0:
             head = "-"
         return f"{head}{rt}*sqrt({self.d})"
 
@@ -226,32 +219,27 @@ class QElem:
 _new = object.__new__
 _setattr = object.__setattr__
 _set_d = QElem.d.__set__
-_set_re = QElem.re.__set__
-_set_rt = QElem.rt.__set__
+_set_den = QElem.den.__set__
+_set_a = QElem.a.__set__
+_set_b = QElem.b.__set__
 
 
-def _elem(d: int, re: Fraction, rt: Fraction) -> QElem:
-    """A QElem from a tag already checked and two Fractions, as arithmetic
-    on checked elements produces them; nothing is validated again."""
+def _elem(d: int, den: int, a: int, b: int) -> QElem:
+    """(a + b*sqrt(D)) / den in lowest terms, for a tag already checked and
+    den > 0, as arithmetic on checked elements produces them; nothing is
+    validated again."""
+    g = gcd(den, a, b)
     x = _new(QElem)
     _set_d(x, d)
-    _set_re(x, re)
-    _set_rt(x, rt)
+    _set_den(x, den // g)
+    _set_a(x, a // g)
+    _set_b(x, b // g)
     return x
 
 
-def _numerators(entries):
-    """(den, re, rt): the entries as re[i] + rt[i]*sqrt(D) over den, with
-    den the least common denominator of all their coordinates."""
-    res = [x.re for x in entries]
-    rts = [x.rt for x in entries]
-    re_dens = [q.denominator for q in res]
-    rt_dens = [q.denominator for q in rts]
-    den = lcm(*re_dens, *rt_dens)
-    if den == 1:
-        return 1, [q.numerator for q in res], [q.numerator for q in rts]
-    return (den, [q.numerator * (den // k) for q, k in zip(res, re_dens)],
-            [q.numerator * (den // k) for q, k in zip(rts, rt_dens)])
+def _sum(x: QElem, den: int, a: int, b: int) -> QElem:
+    """x + (a + b*sqrt(D)) / den."""
+    return _elem(x.d, x.den * den, x.a * den + a * x.den, x.b * den + b * x.den)
 
 
 def _bareiss_step(d: int, re, rt, r: int, c: int, rows, prev) -> None:
@@ -299,11 +287,12 @@ def in_ring_of_integers(x: QElem) -> bool:
     """Membership in the maximal order of Q(sqrt(D)).
 
     For D = 2, 3 mod 4 the order is Z[sqrt(D)]; for D = 1 mod 4 it is
-    Z[(1 + sqrt(D)) / 2], i.e. 2*rt and re - rt must be rational integers.
+    Z[(1 + sqrt(D)) / 2], i.e. 2*rt and re - rt must be rational integers:
+    den divides 2b and a - b.
     """
     if x.d % 4 == 1:
-        return (2 * x.rt).denominator == 1 and (x.re - x.rt).denominator == 1
-    return x.re.denominator == 1 and x.rt.denominator == 1
+        return (2 * x.b) % x.den == 0 and (x.a - x.b) % x.den == 0
+    return x.den == 1
 
 
 @dataclass(frozen=True)
@@ -348,7 +337,9 @@ class QMatrix:
                 elif e.d != d:
                     raise FieldTagError("entry field tag differs from matrix tag")
                 ents.append(e)
-        return cls(d, nr, nc, *_numerators(ents))
+        den = lcm(*[e.den for e in ents])
+        return cls(d, nr, nc, den, [e.a * (den // e.den) for e in ents],
+                   [e.b * (den // e.den) for e in ents])
 
     @classmethod
     def identity(cls, d: int, n: int) -> "QMatrix":
@@ -366,9 +357,7 @@ class QMatrix:
     # -- access ------------------------------------------------------------
 
     def _entry(self, k: int) -> QElem:
-        a, b, den = self.re[k], self.rt[k], self.den
-        return _elem(self.d, Fraction(a, den) if a else _ZERO,
-                     Fraction(b, den) if b else _ZERO)
+        return _elem(self.d, self.den, self.re[k], self.rt[k])
 
     @property
     def entries(self) -> tuple:
@@ -428,10 +417,9 @@ class QMatrix:
         c = c if isinstance(c, QElem) else QElem.of(self.d, c)
         if c.d != self.d:
             raise FieldTagError(f"mixed field tags {c.d} and {self.d}")
-        d, re, rt = self.d, self.re, self.rt
-        cden, (cr,), (ct,) = _numerators((c,))
+        d, re, rt, cr, ct = self.d, self.re, self.rt, c.a, c.b
         dct = d * ct
-        return QMatrix(d, self.rows, self.cols, cden * self.den,
+        return QMatrix(d, self.rows, self.cols, c.den * self.den,
                        [cr * a + dct * b for a, b in zip(re, rt)],
                        [cr * b + ct * a for a, b in zip(re, rt)])
 
@@ -525,8 +513,7 @@ class QMatrix:
         if rank < n:
             return QElem.zero(self.d)
         # the last pivot is the determinant of den*self, up to the row swaps
-        scale = self.den ** n
-        return _elem(self.d, Fraction(sign * pr, scale), Fraction(sign * pt, scale))
+        return _elem(self.d, self.den ** n, sign * pr, sign * pt)
 
     def __str__(self):
         return "[" + "; ".join(
@@ -540,7 +527,7 @@ def block_matrix(d: int, blocks: Iterable[Iterable]) -> QMatrix:
 
     QElem entries are treated as 1x1 blocks; block shapes must tile.
     """
-    grid = [[b if isinstance(b, QMatrix) else QMatrix.from_rows(d, [[b]])
+    grid = [[b if isinstance(b, QMatrix) else QMatrix(b.d, 1, 1, b.den, (b.a,), (b.b,))
              for b in block_row] for block_row in blocks]
     if any(b.d != d for block_row in grid for b in block_row):
         raise FieldTagError("block field tag differs from matrix tag")

@@ -14,7 +14,7 @@ from fractions import Fraction
 F = Fraction
 
 # worst cases of the >=1 orbit-minimum sweeps at their canonical bounds
-MC_PHI10_MIN = F(14, 11)        # attained at r = 11, over every bound in [11, 500]
+MC_PHI10_MIN = F(14, 11)        # attained at r = 11, over every bound in [11, 1000]
 MC_9_16_18_MIN = F(1)           # attained at r = 9 and r = 18
 MC_PHI4_RESTRICTED_MIN = F(6, 5)  # attained at r = 5 and r = 10
 OMEGA_UNSPLIT_MIN = F(15, 7)    # full orbits of r = 7, 14, 15, 20, 24, 30: at r = 7 and 14

@@ -1,0 +1,128 @@
+"""Known faults of the program, kept as data.
+
+Each mutant names a file of the tree, an exact text in it, the faulty text
+that replaces it, and the tests that fail when it is applied.  The Tier-1
+suite only checks that each text still occurs exactly once in its file
+(``test_mutants.py``), so an entry whose code has changed fails loudly
+instead of going stale.  Applying a mutant means: copy the tree, replace
+the text in the copy, and run the test suite there; every test named in
+``caught_by`` fails.
+"""
+
+from typing import NamedTuple, Tuple
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str
+    old: str
+    new: str
+    caught_by: Tuple[str, ...]
+
+
+QFIELD = "src/ballquot/qfield.py"
+CYCLO = "src/ballquot/cyclo.py"
+CUSP = "src/ballquot/cusp.py"
+REIDTAI = "src/ballquot/reidtai.py"
+CERTIFICATES = "src/ballquot/certificates.py"
+
+MUTANTS: Tuple[Mutant, ...] = (
+    # -- scalars and matrices over Q(sqrt(D))
+    Mutant("elem_skips_gcd", QFIELD,
+           "    g = gcd(den, a, b)\n",
+           "    g = 1\n",
+           ("tests/test_kernel.py::test_scalar_arithmetic_agrees_with_fraction_pairs",
+            "tests/test_kernel.py::test_equal_scalar_values_hash_equal",
+            "tests/test_qfield.py::test_equal_values_by_different_routes",
+            "tests/test_golden_report.py::test_report_reproduces_golden_file")),
+    Mutant("elem_inverse_keeps_b_sign", QFIELD,
+           "return _elem(self.d, n, self.den * self.a, -self.den * self.b)",
+           "return _elem(self.d, n, self.den * self.a, self.den * self.b)",
+           ("tests/test_kernel.py::test_scalar_arithmetic_agrees_with_fraction_pairs",
+            "tests/test_kernel.py::test_equal_scalar_values_hash_equal",
+            "tests/test_qfield.py::test_qinv_examples",
+            "tests/test_qfield.py::test_field_axioms_random")),
+    Mutant("elem_sum_wrong_denominator", QFIELD,
+           "x.a * den + a * x.den, x.b * den + b * x.den",
+           "x.a * x.den + a * den, x.b * x.den + b * den",
+           ("tests/test_kernel.py::test_scalar_arithmetic_agrees_with_fraction_pairs",
+            "tests/test_kernel.py::test_equal_scalar_values_hash_equal",
+            "tests/test_qfield.py::test_field_axioms_random",
+            "tests/test_qfield.py::test_in_ring_closure")),
+    Mutant("in_ring_drops_a_minus_b", QFIELD,
+           "return (2 * x.b) % x.den == 0 and (x.a - x.b) % x.den == 0",
+           "return (2 * x.b) % x.den == 0",
+           ("tests/test_qfield.py::test_in_ring_trace_norm_oracle",
+            "tests/test_qfield.py::test_in_ring_closure",
+            "tests/test_cusp.py::test_uf_lattice_generator_against_scan",
+            "tests/test_acceptance.py::test_criterion_08_sigma_oracle")),
+    Mutant("eliminate_unflipped_swap_sign", QFIELD,
+           "                sign = -sign\n",
+           "                sign = sign\n",
+           ("tests/test_kernel.py::test_elimination_agrees_with_fraction_kernel",
+            "tests/test_kernel.py::test_sympy_oracle_det_inverse_rank")),
+    Mutant("inverse_reduces_only_below_pivot", QFIELD,
+           "targets = [i for i in range(nr) if i != r] if augment else range(r + 1, nr)",
+           "targets = range(r + 1, nr)",
+           ("tests/test_kernel.py::test_every_result_is_in_lowest_terms_and_equal_values_hash_equal",
+            "tests/test_kernel.py::test_sympy_oracle_det_inverse_rank",
+            "tests/test_qfield.py::test_matrix_inverse_and_rank",
+            "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
+    # -- the orbit stack
+    Mutant("is_reducible_cache_untyped", CYCLO,
+           "@lru_cache(maxsize=None, typed=True)\ndef is_reducible(",
+           "@lru_cache(maxsize=None)\ndef is_reducible(",
+           ("tests/test_cyclo.py::test_tag_lookalikes_are_refused_cold_and_warm",)),
+    Mutant("scan_first_period_stops_at_d_minus_1", CYCLO,
+           "    for a in range(1, d + 1):\n",
+           "    for a in range(1, d):\n",
+           ("tests/test_cyclo.py::test_scan_reads_kronecker_at_one_and_every_prime_prime_to_d",)),
+    Mutant("euler_symbol_wrong_sign_at_13", CYCLO,
+           "    return -1 if v == p - 1 else v\n",
+           "    return (-1 if v == p - 1 else v) * (-1 if p == 13 else 1)\n",
+           ("tests/test_cyclo.py::test_euler_symbol_matches_oracle",
+            "tests/test_cyclo.py::test_is_reducible_matches_character_scan",
+            "tests/test_cyclo.py::test_orbit_sets_match_kronecker_per_unit")),
+    Mutant("c_min_one_shift_past_minimum", REIDTAI,
+           "    return Fraction(_shift_minimum(full_orbit(d))[0], d)\n",
+           "    return Fraction(_shift_minimum(full_orbit(d))[0] + len(full_orbit(d)), d)\n",
+           ("tests/test_reidtai.py::test_c_min_examples",
+            "tests/test_reidtai.py::test_c_min_matches_quadratic")),
+    Mutant("hom_contribution_one_half_only", REIDTAI,
+           "        halves = [orbit.members for orbit in orbit_sets(d, d_tag)]\n",
+           "        halves = [orbit_sets(d, d_tag)[0].members]\n",
+           ("tests/test_reidtai.py::test_hom_contribution_split_matches_kronecker_halves",
+            "tests/test_golden_report.py::test_report_reproduces_golden_file")),
+    # -- the cusp stabiliser
+    Mutant("translation_relations_without_z", CUSP,
+           "    az = frame.a * g.z\n",
+           "    az = frame.a\n",
+           ("tests/test_cusp.py::test_is_in_nf_agrees_with_form_preservation",
+            "tests/test_cusp.py::test_nf_group_laws",
+            "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
+    Mutant("compose_factors_reversed", CUSP,
+           "        return BoundaryElement(self.mat @ other.mat)\n",
+           "        return BoundaryElement(other.mat @ self.mat)\n",
+           ("tests/test_cusp.py::test_action_composition",
+            "tests/test_cusp.py::test_product_slices_follow_the_block_formulas",
+            "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
+    Mutant("y_sliced_one_row_high", CUSP,
+           "        return self.mat.submatrix(1, self.size - 1, self.size - 2, 1)\n",
+           "        return self.mat.submatrix(0, self.size - 1, self.size - 2, 1)\n",
+           ("tests/test_cusp.py::test_from_blocks_stores_one_matrix_with_its_blocks_as_slices",
+            "tests/test_cusp.py::test_product_slices_follow_the_block_formulas",
+            "tests/test_cusp.py::test_nf_group_laws")),
+    Mutant("b_orthogonalize_skips_first_vector", CUSP,
+           "    for prev in vecs:\n        c = c - prev.scale(",
+           "    for prev in vecs[1:]:\n        c = c - prev.scale(",
+           ("tests/test_cusp.py::test_tangent_exponents_order2",
+            "tests/test_eigen.py::test_involution_exponents_match_trace",
+            "tests/test_acceptance.py::test_criterion_09_boundary_order2_suite")),
+    # -- certificates
+    Mutant("checks_note_drops_where", CERTIFICATES,
+           "            self.failures.append(where)\n",
+           "            self.failures.append({})\n",
+           ("tests/test_certificates.py::test_cusp_suite_lists_each_failed_check",
+            "tests/test_certificates.py::test_boundary_order2_lists_each_failed_check",
+            "tests/test_certificates.py::test_sigma_sweeps_list_each_failed_case")),
+)

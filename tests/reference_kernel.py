@@ -1,12 +1,46 @@
-"""The reference kernel for QMatrix linear algebra over Q(sqrt(D)).
+"""The reference kernel for arithmetic over Q(sqrt(D)).
 
-The schoolbook product and Gauss-Jordan elimination, written with QElem
-arithmetic, i.e. with ``fractions.Fraction`` coordinates throughout.  It is
-slow and independent of the integer kernel in ``ballquot.qfield``, which
-the differential tests compare against it entry by entry.
+Scalars: the ``elem_*`` functions take an element re + rt*sqrt(D) as a
+pair (re, rt) of ``fractions.Fraction`` and apply the textbook formulas of
+the field operations.  They are independent of ``QElem``, whose scalars
+are integer numerators over one denominator, and the differential tests
+compare the two exactly.
+
+Matrices: the schoolbook product and Gauss-Jordan elimination, written with
+QElem arithmetic entry by entry.  They are slow and independent of the
+integer matrix kernel of ``QMatrix``, which the differential tests compare
+against them entry by entry.
 """
 
 from ballquot.qfield import QElem, QMatrix
+
+
+def elem_add(d, x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def elem_sub(d, x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def elem_mul(d, x, y):
+    (a, b), (c, e) = x, y
+    return a * c + d * b * e, a * e + b * c
+
+
+def elem_conj(d, x):
+    return x[0], -x[1]
+
+
+def elem_norm(d, x):
+    return x[0] * x[0] - d * x[1] * x[1]
+
+
+def elem_inverse(d, x):
+    n = elem_norm(d, x)
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero element")
+    return x[0] / n, -x[1] / n
 
 
 def matmul(a: QMatrix, b: QMatrix) -> QMatrix:

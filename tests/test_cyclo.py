@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -10,6 +11,7 @@ from ballquot.cyclo import (FULL, MINUS, PLUS, InternalCheckError, OrbitSet,
                             euler_phi, factorize, field_discriminant,
                             full_orbit, is_reducible, kronecker, orbit_sets,
                             phi_sieve, suitable_fields, units_mod)
+from ballquot.reidtai import hom_contribution, mc_for_field
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +225,22 @@ def cold_scan_caches():
     yield
     cyclo._character_defined_mod.cache_clear()
     is_reducible.cache_clear()
+
+
+def test_tag_lookalikes_are_refused_cold_and_warm(cold_scan_caches):
+    # -3.0 and Fraction(-3) equal the valid tag -3 and hash like it, so an
+    # untyped cache warmed by -3 would answer for them; the refusal must not
+    # depend on what ran before
+    calls = (lambda tag: is_reducible(3, tag), lambda tag: orbit_sets(3, tag),
+             lambda tag: mc_for_field(3, tag), lambda tag: hom_contribution(3, 4, 1, tag),
+             field_discriminant)
+    for warm in (False, True):
+        for call in calls:
+            if warm:
+                call(-3)
+            for bad in (-3.0, Fraction(-3), -4, 0, 5):
+                with pytest.raises(ValueError):
+                    call(bad)
 
 
 def test_is_reducible_matches_character_scan(cold_scan_caches):

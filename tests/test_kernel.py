@@ -1,12 +1,14 @@
 """The integer kernel of ``ballquot.qfield`` against independent oracles.
 
 The first oracle is the Fraction kernel in ``reference_kernel.py``: every
-product, inverse, determinant and rank must agree with it exactly, and
-print the same.  The second is sympy's matrices over QQ<sqrt(D)>, used
+QElem operation must agree exactly with its Fraction-pair formula, and
+every product, inverse, determinant and rank with its schoolbook version,
+and print the same.  The second is sympy's matrices over QQ<sqrt(D)>, used
 where sympy is installed.  The operations that only move or combine stored
 integers (sums, negation, adjoint, slices, block assembly, identity, zero)
-are compared with entrywise QElem arithmetic, and every result must be in
-lowest terms, so that equal values are equal, hash-equal matrices.
+are compared with entrywise QElem arithmetic, and every result, scalar or
+matrix, must be in lowest terms, so that equal values are equal, hash-equal
+objects.
 """
 
 import operator
@@ -259,11 +261,72 @@ def test_every_result_is_in_lowest_terms_and_equal_values_hash_equal():
     assert QMatrix(-1, 1, 2, 6, (4, 2), (0, -8)) == QMatrix(-1, 1, 2, 3, (2, 1), (0, -4))
 
 
+# ---------------------------------------------------------------------------
+# QElem against the Fraction-pair reference
+
+
+def _pair(rng):
+    if rng.random() < 0.1:
+        return F(0), F(0)
+    return _rational(rng), _rational(rng) if rng.random() < 0.8 else F(0)
+
+
+def _elem_in_lowest_terms(x):
+    assert x.den > 0 and gcd(x.den, x.a, x.b) == 1
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_scalar_arithmetic_agrees_with_fraction_pairs(d):
+    rng = random.Random(9000 + d)
+    zero = (F(0), F(0))
+    for _ in range(300):
+        p, q, c = _pair(rng), _pair(rng), _rational(rng)
+        x, y = QElem(d, *p), QElem(d, *q)
+        real = (c, F(0))
+        cases = [(x, p), (x + y, ref.elem_add(d, p, q)),
+                 (x - y, ref.elem_sub(d, p, q)), (x * y, ref.elem_mul(d, p, q)),
+                 (x.conj(), ref.elem_conj(d, p)), (-x, ref.elem_sub(d, zero, p)),
+                 (x + c, ref.elem_add(d, p, real)), (c - x, ref.elem_sub(d, real, p)),
+                 (c * x, ref.elem_mul(d, real, p))]
+        if x.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        else:
+            inv = ref.elem_inverse(d, p)
+            cases += [(x.inverse(), inv), (y / x, ref.elem_mul(d, q, inv))]
+        for got, want in cases:
+            assert (got.re, got.rt) == want
+            _elem_in_lowest_terms(got)
+            rebuilt = QElem(d, *want)
+            assert got == rebuilt and hash(got) == hash(rebuilt)
+        assert x.norm() == ref.elem_norm(d, p)
+
+
+def test_equal_scalar_values_hash_equal():
+    rng = random.Random(9100)
+    for d in FIELDS:
+        for _ in range(100):
+            x, y = QElem(d, *_pair(rng)), QElem(d, *_pair(rng))
+            pairs = [((x + y) - y, x), (-(-x), x), (x.conj().conj(), x),
+                     ((x + x) * F(1, 2), x), (x - x, QElem.zero(d)),
+                     (QMatrix.from_rows(d, [[x]]).scalar(), x),
+                     ((QMatrix.column(d, [x]) @ QMatrix.column(d, [y])).scalar(), x * y),
+                     (block_matrix(d, [[x, y]]).at(0, 1), y)]
+            if not y.is_zero:
+                pairs += [(x * y * y.inverse(), x), (y / y, QElem.one(d)),
+                          (y.inverse().inverse(), y)]
+            for got, want in pairs:
+                _elem_in_lowest_terms(got)
+                assert got == want and hash(got) == hash(want)
+
+
 def test_stored_form_checks_tags_and_shapes():
     with pytest.raises(FieldTagError):
         QMatrix.from_rows(-5, [[QElem.one(-5), QElem.one(-7)]])
     with pytest.raises(FieldTagError):
         block_matrix(-5, [[QMatrix.identity(-5, 1), QMatrix.identity(-7, 1)]])
+    with pytest.raises(FieldTagError):
+        block_matrix(-5, [[QElem.one(-5), QElem.one(-7)]])
     with pytest.raises(FieldTagError):
         QMatrix.identity(-5, 2) + QMatrix.identity(-7, 2)
     with pytest.raises(ValueError):
