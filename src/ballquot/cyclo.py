@@ -10,8 +10,10 @@ and the orbit sets consumed by the fractional-part minimizations.
 The cross-check is a scan of a -> (D/a) over a in [1, 10d].  It returns the
 units of its first period split by sign, (D/a) = +1 and -1, or None where
 the character is not defined mod d, and the orbit sets are those two
-classes.  The scan reads (D/a) from kronecker at a = 1 and a = 2, from
-Euler's criterion D^((p-1)/2) mod p at odd primes p, and from complete
+classes.  Each field keeps one table of (D/a), shared by the scans of
+every order and grown in increasing a only as far as some scan has read.
+The table reads (D/a) from kronecker at a = 1 and a = 2, from Euler's
+criterion D^((p-1)/2) mod p at odd primes p, and from complete
 multiplicativity everywhere else.
 """
 
@@ -106,8 +108,13 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+@lru_cache(maxsize=None, typed=True)
 def field_discriminant(d_tag: int) -> int:
-    """Discriminant of Q(sqrt(D)): D itself if D = 1 mod 4, else 4D."""
+    """Discriminant of Q(sqrt(D)): D itself if D = 1 mod 4, else 4D.
+
+    The tag is checked once per process: the cache is typed, so a tag that
+    equals a valid one, such as -3.0, misses it and is refused.
+    """
     check_field_tag(d_tag)
     return d_tag if d_tag % 4 == 1 else 4 * d_tag
 
@@ -143,6 +150,34 @@ def _euler_symbol(d_tag: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _field_table(d_tag: int) -> bytearray:
+    """The values (D/a) for a = 0, 1, 2, ... as far as some scan of the
+    field has read, each stored mod 3 in one byte: 0, 1 and 2 for 0, +1
+    and -1, so that a product of two entries, reduced mod 3, is the entry
+    of the product.  It starts at a = 0 alone; _grow fills it."""
+    return bytearray(1)
+
+
+def _grow(table: bytearray, d_tag: int, n: int) -> None:
+    """Fill the field table of D up to a = n, in increasing a, by complete
+    multiplicativity, (D/a) = (D/p)(D/(a/p)) for the smallest prime p | a,
+    so only 1 and primes are read directly: kronecker at 1 and 2, where the
+    symbol's own conventions apply, and Euler's criterion at odd primes."""
+    spf = _smallest_prime_factors(1 << n.bit_length())
+    for a in range(len(table), n + 1):
+        p = spf[a]
+        table.append(table[p] * table[a // p] % 3 if p
+                     else _euler_symbol(d_tag, a) % 3 if a > 2
+                     else kronecker(d_tag, a) % 3)
+
+
+@lru_cache(maxsize=None)
+def _units_through(d: int):
+    """The units a in [1, d], ascending; for d = 1 that is a = 1 alone."""
+    return tuple(a for a in range(1, d + 1) if gcd(a, d) == 1)
+
+
+@lru_cache(maxsize=None)
 def _character_defined_mod(d: int, d_tag: int):
     """Scan test: is a -> kronecker(D, a) a nonvanishing character mod d?
 
@@ -151,45 +186,28 @@ def _character_defined_mod(d: int, d_tag: int):
     and those with (D/a) = -1, as two ascending tuples, if all three hold;
     these are the orbit sets.  Returns None otherwise.
 
-    The values come from a table filled in increasing a by complete
-    multiplicativity in a, (D/a) = (D/p)(D/(a/p)) for the smallest prime
-    p | a, so only 1 and primes are read directly: kronecker at 1 and 2,
-    where the symbol's own conventions apply, and Euler's criterion at odd
-    primes.  The table assumes no periodicity, which is what the scan tests.
-    Every divisor of an a prime to d is prime to d, so only those a need an
-    entry.  The first period a in [1, d] finds the units mod d by gcd, as
-    far as the scan gets, and holds each class's value; each later period
-    visits only the classes it found.
+    The values come from the field's one table of (D/a), shared by the
+    scans of every order and grown a period at a time, to the last unit
+    that the scan reads.  The table assumes no periodicity, which is what
+    the scan tests.  The units of [1, d] come from a per-order cache; the
+    scan reads their values in its first period, a in [1, d], and compares
+    each later period with them as one list per period.
     """
-    n = 10 * d
-    spf = _smallest_prime_factors(1 << n.bit_length())
-    table = [0] * (n + 1)
-    classes = []  # (first a, its value) for each unit class mod d
-    for a in range(1, d + 1):
-        if gcd(a, d) != 1:
-            continue
-        p = spf[a]
-        v = (table[p] * table[a // p] if p
-             else _euler_symbol(d_tag, a) if a > 2 else kronecker(d_tag, a))
-        table[a] = v
-        if v == 0:
+    table = _field_table(d_tag)
+    units = _units_through(d)
+    last = units[-1]
+    _grow(table, d_tag, last)
+    first = [table[a] for a in units]
+    if 0 in first:
+        return None
+    for base in range(d, 10 * d, d):
+        _grow(table, d_tag, base + last)
+        if [table[base + a] for a in units] != first:
             return None
-        classes.append((a, v))
-    for base in range(d, n, d):
-        for first, value in classes:
-            a = base + first
-            p = spf[a]
-            v = (table[p] * table[a // p] if p
-                 else _euler_symbol(d_tag, a) if a > 2 else kronecker(d_tag, a))
-            table[a] = v
-            if v == 0:
-                return None
-            if v != value:
-                return None
-    minus = tuple(a for a, value in classes if value == -1)
+    minus = tuple(a for a, v in zip(units, first) if v == 2)
     if not minus:
         return None
-    return tuple(a for a, value in classes if value == 1), minus
+    return tuple(a for a, v in zip(units, first) if v == 1), minus
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -201,8 +219,8 @@ def is_reducible(d: int, d_tag: int) -> bool:
     typed, so a tag that equals a valid one, such as -3.0, misses it and is
     refused by field_discriminant.
     """
-    if d < 1:
-        raise ValueError("is_reducible expects d >= 1")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ValueError(f"is_reducible expects an int d >= 1, got {d!r}")
     by_conductor = d % abs(field_discriminant(d_tag)) == 0
     by_character = _character_defined_mod(d, d_tag) is not None
     if by_conductor != by_character:

@@ -269,11 +269,12 @@ def hom_contribution(d: int, r: int, k1: int, d_tag: Optional[int]) -> Fraction:
 
     If the block splits over Q(sqrt(D)), the minimum over the two Kronecker
     orbits of sum {a/d + k1/r}; otherwise the sum over all units a mod d.
+    A given tag is checked at every d, also where no field splits.
     """
     if gcd(k1, r) != 1:
         raise ValueError(f"k1={k1} is not a unit mod r={r}")
     modulus = d * r
-    if d_tag is not None and d >= 3 and is_reducible(d, d_tag):
+    if d_tag is not None and is_reducible(d, d_tag):
         halves = [orbit.members for orbit in orbit_sets(d, d_tag)]
     else:
         halves = [units_mod(d)]

@@ -8,7 +8,9 @@ tests skip themselves.
 
 Each test module leaves the character scan's caches empty when it ends, so
 what a later module counts (the traced kronecker calls of bench/tests, say)
-starts cold, as in a fresh process, whatever ran before it.
+starts cold, as in a fresh process, whatever ran before it.  A test that
+patches what the scan reads, or that must run cold, takes the
+``cold_scan_caches`` fixture, which empties them before and after it.
 """
 
 import pytest
@@ -26,8 +28,27 @@ if settings is not None:
     settings.load_profile("ballquot")
 
 
+def clear_scan_caches():
+    """Empty every cache behind is_reducible: the checked field tags, the
+    per-field tables of (D/a), the per-order units and the verdicts."""
+    for cache in (cyclo.field_discriminant, cyclo._field_table,
+                  cyclo._units_through, cyclo._character_defined_mod,
+                  cyclo.is_reducible):
+        cache.cache_clear()
+
+
 @pytest.fixture(autouse=True, scope="module")
 def cold_scan_caches_after_module():
     yield
-    cyclo._character_defined_mod.cache_clear()
-    cyclo.is_reducible.cache_clear()
+    clear_scan_caches()
+
+
+@pytest.fixture
+def cold_scan_caches():
+    """Empty the scan caches before and after, so that a test's patched
+    kronecker neither reads nor leaves cached verdicts or table entries;
+    yields the function that empties them, for a test that needs them
+    cold again."""
+    clear_scan_caches()
+    yield clear_scan_caches
+    clear_scan_caches()

@@ -73,10 +73,34 @@ MUTANTS: Tuple[Mutant, ...] = (
            "@lru_cache(maxsize=None, typed=True)\ndef is_reducible(",
            "@lru_cache(maxsize=None)\ndef is_reducible(",
            ("tests/test_cyclo.py::test_tag_lookalikes_are_refused_cold_and_warm",)),
-    Mutant("scan_first_period_stops_at_d_minus_1", CYCLO,
-           "    for a in range(1, d + 1):\n",
-           "    for a in range(1, d):\n",
-           ("tests/test_cyclo.py::test_scan_reads_kronecker_at_one_and_every_prime_prime_to_d",)),
+    Mutant("is_reducible_takes_any_order", CYCLO,
+           "    if not isinstance(d, int) or isinstance(d, bool) or d < 1:\n",
+           "    if d < 1:\n",
+           ("tests/test_cyclo.py::test_orders_that_are_not_ints_are_refused_cold_and_warm",)),
+    Mutant("scan_stops_one_period_short", CYCLO,
+           "    for base in range(d, 10 * d, d):\n",
+           "    for base in range(d, 9 * d, d):\n",
+           ("tests/test_cyclo.py::test_scan_reads_each_prime_once_per_field_in_increasing_order",)),
+    Mutant("table_grown_one_entry_short", CYCLO,
+           "    for a in range(len(table), n + 1):\n",
+           "    for a in range(len(table), n):\n",
+           ("tests/test_cyclo.py::test_is_reducible_matches_character_scan",
+            "tests/test_cyclo.py::test_scan_reads_each_prime_once_per_field_in_increasing_order",
+            "tests/test_cyclo.py::test_scan_results_do_not_depend_on_the_order_of_visits",
+            "tests/test_golden_report.py::test_report_reproduces_golden_file")),
+    Mutant("table_product_unreduced", CYCLO,
+           "table[p] * table[a // p] % 3 if p",
+           "table[p] * table[a // p] if p",
+           ("tests/test_cyclo.py::test_is_reducible_matches_character_scan",
+            "tests/test_cyclo.py::test_orbit_sets_match_kronecker_per_unit",
+            "tests/test_cyclo.py::test_scan_results_do_not_depend_on_the_order_of_visits",
+            "tests/test_golden_report.py::test_report_reproduces_golden_file")),
+    Mutant("table_product_drops_sign", CYCLO,
+           "table[p] * table[a // p] % 3 if p",
+           "table[p] * table[a // p] % 3 and 1 if p",
+           ("tests/test_cyclo.py::test_is_reducible_matches_character_scan",
+            "tests/test_cyclo.py::test_orbit_sets_match_kronecker_per_unit",
+            "tests/test_golden_report.py::test_report_reproduces_golden_file")),
     Mutant("euler_symbol_wrong_sign_at_13", CYCLO,
            "    return -1 if v == p - 1 else v\n",
            "    return (-1 if v == p - 1 else v) * (-1 if p == 13 else 1)\n",
@@ -88,6 +112,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    return Fraction(_shift_minimum(full_orbit(d))[0] + len(full_orbit(d)), d)\n",
            ("tests/test_reidtai.py::test_c_min_examples",
             "tests/test_reidtai.py::test_c_min_matches_quadratic")),
+    Mutant("hom_contribution_skips_tag_below_3", REIDTAI,
+           "    if d_tag is not None and is_reducible(d, d_tag):\n",
+           "    if d_tag is not None and d >= 3 and is_reducible(d, d_tag):\n",
+           ("tests/test_reidtai.py::test_hom_contribution_checks_the_tag_at_orders_that_never_split",)),
     Mutant("hom_contribution_one_half_only", REIDTAI,
            "        halves = [orbit.members for orbit in orbit_sets(d, d_tag)]\n",
            "        halves = [orbit_sets(d, d_tag)[0].members]\n",

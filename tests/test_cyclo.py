@@ -216,17 +216,6 @@ def scan_disagreements(d_limit=200):
     return bad
 
 
-@pytest.fixture
-def cold_scan_caches():
-    """Empty the scan caches before and after, so that a test's patched
-    kronecker neither reads nor leaves cached verdicts."""
-    cyclo._character_defined_mod.cache_clear()
-    is_reducible.cache_clear()
-    yield
-    cyclo._character_defined_mod.cache_clear()
-    is_reducible.cache_clear()
-
-
 def test_tag_lookalikes_are_refused_cold_and_warm(cold_scan_caches):
     # -3.0 and Fraction(-3) equal the valid tag -3 and hash like it, so an
     # untyped cache warmed by -3 would answer for them; the refusal must not
@@ -241,6 +230,19 @@ def test_tag_lookalikes_are_refused_cold_and_warm(cold_scan_caches):
             for bad in (-3.0, Fraction(-3), -4, 0, 5):
                 with pytest.raises(ValueError):
                     call(bad)
+
+
+def test_orders_that_are_not_ints_are_refused_cold_and_warm(cold_scan_caches):
+    # 12.0 equals the valid order 12, and True equals 1; neither may reach
+    # the scan, cold or after a warm 12
+    for warm in (False, True):
+        if warm:
+            assert is_reducible(12, -3) and orbit_sets(12, -3)
+        for bad in (12.0, 3.0, Fraction(12), True, 0, -12):
+            with pytest.raises(ValueError):
+                is_reducible(bad, -3)
+            with pytest.raises(ValueError):
+                orbit_sets(bad, -3)
 
 
 def test_is_reducible_matches_character_scan(cold_scan_caches):
@@ -265,32 +267,54 @@ def test_character_scan_catches_one_wrong_table_value(D, p, monkeypatch,
     assert bad and all(pair[1] == D for pair in bad)
 
 
-def test_scan_reads_kronecker_at_one_and_every_prime_prime_to_d(monkeypatch,
-                                                                 cold_scan_caches):
-    # under a character that is 1 everywhere no check exits early, so the
-    # scan must read kronecker at 1 and 2 and Euler's criterion at every odd
-    # prime in [1, 10d] prime to d, in increasing order: at d = 1 every a is
-    # a unit (a = 0 mod 1), at d = 2 every odd a; a residue misplaced in the
-    # units found in the first period adds or drops a prime, or reads an
-    # unfilled table entry as 0
-    reads = []
+def test_scan_reads_each_prime_once_per_field_in_increasing_order(monkeypatch,
+                                                                   cold_scan_caches):
+    # under a character that is 1 everywhere no check exits early, so a scan
+    # of order d reads its field's table through the last unit below 10d;
+    # the table reads kronecker at 1 and 2 and Euler's criterion at every
+    # odd prime, once per field and in increasing a, whatever orders ran
+    # before: each field's reads are the primes up to 10 times the largest
+    # order scanned so far
+    reads = {}
 
     def trivial(reader):
-        def read(a, n):
-            reads.append((reader, n))
+        def read(D, n):
+            reads.setdefault(D, []).append((reader, n))
             return 1
         return read
 
     monkeypatch.setattr(cyclo, "kronecker", trivial("kronecker"))
     monkeypatch.setattr(cyclo, "_euler_symbol", trivial("euler"))
-    for d in range(1, 60):
-        reads.clear()
-        assert cyclo._character_defined_mod(d, -1) is None
-        primes = [p for p in range(2, 10 * d + 1)
-                  if factorize(p) == ((p, 1),) and d % p]
-        assert reads == [("kronecker", 1)] + [
-            ("kronecker" if p == 2 else "euler", p) for p in primes], d
-    assert cyclo._character_defined_mod.cache_info().currsize == 59
+    shuffled = random.Random(0).sample(range(1, 60), 59)
+    visits = {-1: range(1, 60), -2: range(59, 0, -1), -5: shuffled}
+    for D, orders in visits.items():
+        reach = 0
+        for d in orders:
+            assert cyclo._character_defined_mod(d, D) is None
+            reach = max(reach, 10 * d)
+            primes = [p for p in range(2, reach + 1) if factorize(p) == ((p, 1),)]
+            assert reads[D] == [("kronecker", 1)] + [
+                ("kronecker" if p == 2 else "euler", p) for p in primes], (D, d)
+    assert cyclo._character_defined_mod.cache_info().currsize == 3 * 59
+
+
+def test_scan_results_do_not_depend_on_the_order_of_visits(cold_scan_caches):
+    # every field's table is shared by the scans of all orders, so what a
+    # scan returns must not depend on which orders filled the table first
+    pairs = [(d, D) for D in SCAN_FIELDS for d in range(1, 200)]
+
+    def scan(pair):
+        return is_reducible(*pair), cyclo._character_defined_mod(*pair)
+
+    ascending = {pair: scan(pair) for pair in pairs}
+    cold_scan_caches()
+    descending = {pair: scan(pair) for pair in reversed(pairs)}
+    cold = {}
+    for pair in pairs:
+        cold_scan_caches()
+        cold[pair] = scan(pair)
+    assert descending == ascending and cold == ascending
+    assert sum(verdict for verdict, _ in cold.values()) > 50
 
 
 def test_euler_symbol_matches_oracle():

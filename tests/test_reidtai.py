@@ -446,6 +446,18 @@ def test_hom_contribution_unit_check():
         hom_contribution(4, 6, 2, None)
 
 
+def test_hom_contribution_checks_the_tag_at_orders_that_never_split(cold_scan_caches):
+    # no field splits d = 1 or 2, yet a tag given with them is refused as
+    # at d >= 3, whether or not the valid tag -3 ran first
+    for warm in (False, True):
+        for d in (1, 2):
+            if warm:
+                assert hom_contribution(d, 4, 1, -3) == hom_contribution(d, 4, 1, None)
+            for bad in (-3.0, F(-3), 5):
+                with pytest.raises(ValueError):
+                    hom_contribution(d, 4, 1, bad)
+
+
 def test_dimension_coefficients_first_principles():
     for d, coeff in DIMENSION_COEFF.items():
         phi = euler_phi(d)
