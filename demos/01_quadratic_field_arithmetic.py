@@ -2,7 +2,7 @@
 # inversion, hermitian matrices, and ring-of-integers membership.
 from fractions import Fraction as F
 
-from ballquot import QElem, QMatrix, conj, in_ring_of_integers, qinv
+from ballquot import QElem, QMatrix, in_ring_of_integers
 
 print("== elements of Q(sqrt(-5)) ==")
 x = QElem.of(-5, 3, 2)          # 3 + 2*sqrt(-5)
@@ -10,8 +10,8 @@ y = QElem.of(-5, F(1, 2), F(-1, 3))
 print("x       =", x)
 print("y       =", y)
 print("x * y   =", x * y)
-print("conj(x) =", conj(x))
-print("1/x     =", qinv(x), "   check x * (1/x) =", x * qinv(x))
+print("conj(x) =", x.conj())
+print("1/x     =", x.inverse(), "   check x * (1/x) =", x * x.inverse())
 
 print()
 print("== half-integers and the ring of integers ==")

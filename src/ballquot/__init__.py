@@ -8,8 +8,8 @@ minimizations, boundary-order enumerations, and the stabiliser algebra at a
 zero-dimensional cusp.
 """
 
-from .qfield import (FieldTagError, QElem, QMatrix, conj, frac, fmt_rational,
-                     in_ring_of_integers, is_squarefree, qinv)
+from .qfield import (FieldTagError, QElem, QMatrix, frac, fmt_rational,
+                     in_ring_of_integers, is_squarefree)
 from .cyclo import (FULL, MINUS, PLUS, InternalCheckError, OrbitSet,
                     complex_conjugate_orbit, cyclotomic_polynomial, euler_phi,
                     factorize, field_discriminant, is_reducible, kronecker,

@@ -105,6 +105,8 @@ def run_command(cfg: RunConfig, fmt: str, out: Optional[str]) -> int:
         validate_config(cfg)
         if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
             raise ConfigError(f"no directory to write the report {out!r} to")
+        if out and os.path.isdir(out):
+            raise ConfigError(f"the report file {out!r} is a directory")
     except (UnknownClaimError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -189,25 +189,10 @@ def normalize_cusp_basis(qprime: QMatrix, n: int):
 # ---------------------------------------------------------------------------
 # membership
 
-def _real_part_vanishes(a: QElem, w: QElem) -> bool:
-    """conj(a)*w + a*conj(w) == 0, the purely imaginary direction along a."""
-    val = a.conj() * w + a * w.conj()
-    return val.is_zero
-
-
-def _translation_relations(g: BoundaryElement, frame: CuspFrame,
-                            xhb: QMatrix) -> bool:
-    """X^H B y + a z v^H = 0 and the corner relation
-    y^H B y + conj(a z) w + a z conj(w) = 0, given xhb = X^H B."""
-    az = frame.a * g.z
-    if not (xhb @ g.y + g.v.h.scale(az)).is_zero:
-        return False
-    scal = frame.inner(g.y, g.y) + az.conj() * g.w + az * g.w.conj()
-    return scal.is_zero
-
-
 def is_in_NF(g: BoundaryElement, frame: CuspFrame) -> bool:
-    """The four stabiliser relations, checked exactly."""
+    """The four stabiliser relations, checked exactly: z conj(u) = 1,
+    X^H B X = B, X^H B y + a z v^H = 0 and the corner relation
+    y^H B y + conj(a z) w + a z conj(w) = 0."""
     if g.size != frame.n + 1 or g.d != frame.d:
         raise ValueError("element size or field does not match the frame")
     if g.z * g.u.conj() != QElem.one(frame.d):
@@ -215,28 +200,25 @@ def is_in_NF(g: BoundaryElement, frame: CuspFrame) -> bool:
     xhb = g.x_mat.h @ frame.b_mat
     if xhb @ g.x_mat != frame.b_mat:
         return False
-    return _translation_relations(g, frame, xhb)
+    az = frame.a * g.z
+    if not (xhb @ g.y + g.v.h.scale(az)).is_zero:
+        return False
+    scal = frame.inner(g.y, g.y) + az.conj() * g.w + az * g.w.conj()
+    return scal.is_zero
 
 
 def is_in_WF(g: BoundaryElement, frame: CuspFrame) -> bool:
-    """Unipotent radical: u = z = 1, X = I, plus two displayed relations."""
-    if g.size != frame.n + 1 or g.d != frame.d:
-        raise ValueError("element size or field does not match the frame")
+    """Unipotent radical: the part of N(F) with u = z = 1 and X = I."""
     one = QElem.one(frame.d)
-    if g.u != one or g.z != one:
-        return False
-    if g.x_mat != QMatrix.identity(frame.d, frame.n - 1):
-        return False
-    return _translation_relations(g, frame, frame.b_mat)
+    return (is_in_NF(g, frame) and g.u == one and g.z == one
+            and g.x_mat == QMatrix.identity(frame.d, frame.n - 1))
 
 
 def is_in_UF(g: BoundaryElement, frame: CuspFrame) -> bool:
-    """Centre of the radical: v = y = 0 and w purely imaginary along a."""
-    if not is_in_WF(g, frame):
-        return False
-    if not (g.v.is_zero and g.y.is_zero):
-        return False
-    return _real_part_vanishes(frame.a, g.w)
+    """Centre of the radical: the part of W(F) with v = y = 0.  There the
+    corner relation of N(F) reads conj(a) w + a conj(w) = 0, so w is purely
+    imaginary along a."""
+    return is_in_WF(g, frame) and g.v.is_zero and g.y.is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +273,8 @@ def in_sigma_lattice(value: QElem, frame: CuspFrame, x0: Fraction) -> bool:
 def uf_translation(frame: CuspFrame, x: Fraction) -> BoundaryElement:
     """The central element translating the torus coordinate by x*a*sqrt(D)."""
     d, m = frame.d, frame.n - 1
-    return BoundaryElement.from_blocks(
-        QElem.one(d), QMatrix.zero(d, 1, m), sigma_element(frame, x),
-        QMatrix.identity(d, m), QMatrix.zero(d, m, 1), QElem.one(d))
+    return nf_element(frame, QMatrix.identity(d, m), QMatrix.zero(d, m, 1),
+                      QElem.one(d), x)
 
 
 # ---------------------------------------------------------------------------

@@ -275,14 +275,6 @@ def _bareiss_step(d: int, re, rt, r: int, c: int, rows, prev) -> None:
                       for a, b, e, g in tail]
 
 
-def conj(x: QElem) -> QElem:
-    return x.conj()
-
-
-def qinv(x: QElem) -> QElem:
-    return x.inverse()
-
-
 def in_ring_of_integers(x: QElem) -> bool:
     """Membership in the maximal order of Q(sqrt(D)).
 

@@ -292,8 +292,6 @@ D_MINUS5 = "D_MINUS5"
 D_MINUS6 = "D_MINUS6"
 D_MINUS15 = "D_MINUS15"
 
-_SMALL_D_CANDIDATES = (1, 2, 3, 4, 6, 7, 8, 12, 14, 15, 20, 24, 30)
-
 
 @dataclass(frozen=True)
 class _CaseFamily:
@@ -334,11 +332,6 @@ def pooled_contribution(d: int, r_set, d_tag: Optional[int]) -> Fraction:
     )
 
 
-def omega_contribution(r_set, d_tag: int) -> Fraction:
-    """Contribution of the distinguished piece itself, minimized over r."""
-    return min(mc_for_field(r, d_tag) for r in r_set)
-
-
 def case_analysis(case_id: str, n: int) -> CaseReport:
     """Reproduce one branch of the finite case analysis.
 
@@ -353,15 +346,13 @@ def case_analysis(case_id: str, n: int) -> CaseReport:
     per_d = {d: pooled_contribution(d, fam.r_set, fam.d_field)
              for d in fam.allowed_d}
 
-    if fam.d_field is not None:
-        omega = omega_contribution(fam.r_set, fam.d_field)
-    else:
-        # no splitting available below the cutoff: any field gives the full
-        # orbit, take a representative
-        omega = min(mc_for_field(r, -5) for r in fam.r_set)
+    # the distinguished piece itself, minimized over r; a branch that fixes
+    # no field has no splitting at its orders, so the full orbit gives it
+    omega = min(mc_unsplit(r) if fam.d_field is None
+                else mc_for_field(r, fam.d_field) for r in fam.r_set)
 
     excluded = {}
-    for d in _SMALL_D_CANDIDATES:
+    for d in DIMENSION_COEFF:
         if d in fam.allowed_d:
             continue
         cands = [pooled_contribution(d, fam.r_set, fam.d_field)]

@@ -1,4 +1,4 @@
-"""Known faults of the program, kept as data.
+"""Known faults of the program, kept as data, and the runner that applies them.
 
 Each mutant names a file of the tree, an exact text in it, the faulty text
 that replaces it, and the tests that fail when it is applied.  The Tier-1
@@ -7,9 +7,23 @@ suite only checks that each text still occurs exactly once in its file
 instead of going stale.  Applying a mutant means: copy the tree, replace
 the text in the copy, and run the test suite there; every test named in
 ``caught_by`` fails.
+
+Run ``python tests/mutants.py`` from anywhere to apply every mutant in turn,
+each in a temporary copy of the tree.  The tests a mutant names run one
+test file at a time, with a limit of ``FILE_LIMIT_S`` seconds per file.
+The runner lists every mutant that survives a test it names (that test
+passes, or its file does not finish in time) and exits 1 if there is one,
+else 0.
 """
 
-from typing import NamedTuple, Tuple
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Tuple
 
 
 class Mutant(NamedTuple):
@@ -116,6 +130,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    if d_tag is not None and is_reducible(d, d_tag):\n",
            "    if d_tag is not None and d >= 3 and is_reducible(d, d_tag):\n",
            ("tests/test_reidtai.py::test_hom_contribution_checks_the_tag_at_orders_that_never_split",)),
+    Mutant("omega_always_unsplit", REIDTAI,
+           "    omega = min(mc_unsplit(r) if fam.d_field is None\n",
+           "    omega = min(mc_unsplit(r) if True\n",
+           ("tests/test_reidtai.py::test_case_analysis_tables",)),
     Mutant("hom_contribution_one_half_only", REIDTAI,
            "        halves = [orbit.members for orbit in orbit_sets(d, d_tag)]\n",
            "        halves = [orbit_sets(d, d_tag)[0].members]\n",
@@ -128,6 +146,18 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_cusp.py::test_is_in_nf_agrees_with_form_preservation",
             "tests/test_cusp.py::test_nf_group_laws",
             "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
+    Mutant("wf_skips_x_check", CUSP,
+           "and g.z == one\n            and g.x_mat == QMatrix.identity(frame.d, frame.n - 1))\n",
+           "and g.z == one)\n",
+           ("tests/test_cusp.py::test_wf_construction_and_shape",
+            "tests/test_cusp.py::test_is_in_wf_agrees_with_nf_at_unit_torus")),
+    Mutant("wf_tests_blocks_before_nf", CUSP,
+           "    return (is_in_NF(g, frame) and g.u == one and g.z == one\n"
+           "            and g.x_mat == QMatrix.identity(frame.d, frame.n - 1))\n",
+           "    return (g.u == one and g.z == one\n"
+           "            and g.x_mat == QMatrix.identity(frame.d, frame.n - 1)\n"
+           "            and is_in_NF(g, frame))\n",
+           ("tests/test_cusp.py::test_memberships_refuse_an_element_of_another_size_or_field",)),
     Mutant("compose_factors_reversed", CUSP,
            "        return BoundaryElement(self.mat @ other.mat)\n",
            "        return BoundaryElement(other.mat @ self.mat)\n",
@@ -154,3 +184,75 @@ MUTANTS: Tuple[Mutant, ...] = (
             "tests/test_certificates.py::test_boundary_order2_lists_each_failed_check",
             "tests/test_certificates.py::test_sigma_sweeps_list_each_failed_case")),
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+FILE_LIMIT_S = 240
+_NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
+                                     ".hypothesis", "*.egg-info")
+
+
+def _outcomes(tree: Path, test_file: str, names: List[str]) -> Dict[str, bool]:
+    """For each test function of ``test_file`` that ran, whether some case of
+    it failed or erred, from one pytest run in ``tree`` over ``names``;
+    raises ``subprocess.TimeoutExpired`` past ``FILE_LIMIT_S``."""
+    report = tree / "mutant-report.xml"
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"--junitxml={report}", *(f"{test_file}::{name}" for name in names)],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        timeout=FILE_LIMIT_S)
+    failed: Dict[str, bool] = {}
+    if not report.exists():
+        return failed
+    for case in ET.parse(report).iter("testcase"):
+        name = case.get("name").split("[")[0]
+        bad = case.find("failure") is not None or case.find("error") is not None
+        failed[name] = failed.get(name, False) or bad
+    return failed
+
+
+def survivors(mutant: Mutant) -> List[str]:
+    """The tests named by ``mutant`` that it survives, each with the reason."""
+    by_file: Dict[str, List[str]] = {}
+    for test_id in mutant.caught_by:
+        test_file, name = test_id.split("::")
+        by_file.setdefault(test_file, []).append(name)
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=_NOT_COPIED)
+        target = tree / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return [f"{mutant.file}: the old text does not occur exactly once"]
+        target.write_text(text.replace(mutant.old, mutant.new))
+        missed = []
+        for test_file, names in by_file.items():
+            try:
+                failed = _outcomes(tree, test_file, names)
+            except subprocess.TimeoutExpired:
+                missed.append(f"{test_file}: not done in {FILE_LIMIT_S} s")
+                continue
+            for name in names:
+                if name not in failed:
+                    missed.append(f"{test_file}::{name} did not run")
+                elif not failed[name]:
+                    missed.append(f"{test_file}::{name} passes")
+        return missed
+
+
+def main() -> int:
+    survived = 0
+    for mutant in MUTANTS:
+        missed = survivors(mutant)
+        print(f"{mutant.id}: {'SURVIVES' if missed else 'caught'}", flush=True)
+        for line in missed:
+            print(f"  {line}", flush=True)
+        survived += bool(missed)
+    print(f"{len(MUTANTS)} mutants, {survived} surviving")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -220,6 +220,7 @@ def test_cli_text_report_to_stdout(capsys):
     ["--claims", "mc_ge_1_phi10", "--r-limit", "1001"],
     ["--claims", "mc_literal_reading", "--r-limit", "1000"],
     ["--claims", "all", "--r-limit", "1000"],
+    ["--claims", "qr_patterns", "--out", "."],
 ])
 def test_cli_bad_config_exits_2_before_any_claim_runs(argv, monkeypatch, capsys):
     from ballquot import certificates as certs_mod

@@ -97,6 +97,17 @@ def test_identity_memberships():
     assert is_in_UF(e, frame)
 
 
+@pytest.mark.parametrize("member", (is_in_NF, is_in_WF, is_in_UF))
+def test_memberships_refuse_an_element_of_another_size_or_field(member):
+    rng = random.Random(30)
+    frame = cusp.random_frame(rng, -5, 3)
+    # identities one size larger, one size smaller, and over another field
+    for other in (QMatrix.identity(-5, 5), QMatrix.identity(-5, 3),
+                  QMatrix.identity(-7, 4)):
+        with pytest.raises(ValueError, match="does not match the frame"):
+            member(BoundaryElement(other), frame)
+
+
 def test_not_in_nf_when_scaling_breaks():
     rng = random.Random(2)
     frame = cusp.random_frame(rng, -5, 3)
@@ -111,6 +122,10 @@ def test_uf_membership_examples():
     frame = cusp.random_frame(rng, -7, 3)
     u = uf_translation(frame, F(3, 2))
     assert is_in_UF(u, frame)
+    one, zero = QElem.one(-7), QMatrix.zero(-7, 2, 1)
+    assert u == BoundaryElement.from_blocks(
+        one, zero.h, sigma_element(frame, F(3, 2)), QMatrix.identity(-7, 2),
+        zero, one)
     # conj(a) w + a conj(w) = 0 for w = x a sqrt(D)
     w = u.w
     assert (frame.a.conj() * w + frame.a * w.conj()).is_zero

@@ -1,12 +1,8 @@
 """The mutant list of ``mutants.py`` against the tree it describes."""
 
-from pathlib import Path
-
 import pytest
 
-from mutants import MUTANTS
-
-ROOT = Path(__file__).resolve().parent.parent
+from mutants import MUTANTS, ROOT
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.id for m in MUTANTS])
