@@ -478,8 +478,9 @@ CLAIMS: Dict[str, Claim] = {
               _claim_mc_phi10, lambda cfg: {"min_value": tables.MC_PHI10_MIN},
               "mc(r) >= 1 for phi(r) >= 10; sweep minimum matches the "
               "recorded worst case",
-              # from r = 11, the worst case; r <= 1000 takes about 1.6 s, most
-              # of it filling the per-field tables of the character scans
+              # from r = 11, the worst case; r <= 1000 takes about 0.8 s, most
+              # of it reading (D/p) at the primes for the per-field tables of
+              # the character scans
               limit=Limit("r_limit", 300, 11, 1000)),
         Claim("mc_r_9_16_18", "orbit minima reach 1 for r = 9, 16, 18",
               _claim_mc_9_16_18, lambda cfg: {"min_value": tables.MC_9_16_18_MIN},

@@ -11,17 +11,25 @@ The cross-check is a scan of a -> (D/a) over a in [1, 10d].  It returns the
 units of its first period split by sign, (D/a) = +1 and -1, or None where
 the character is not defined mod d, and the orbit sets are those two
 classes.  Each field keeps one table of (D/a), shared by the scans of
-every order and grown in increasing a only as far as some scan has read.
-The table reads (D/a) from kronecker at a = 1 and a = 2, from Euler's
-criterion D^((p-1)/2) mod p at odd primes p, and from complete
-multiplicativity everywhere else.
+every order and grown in increasing a only as far as some scan has read,
+or a few periods ahead of it.  The table reads (D/a) from kronecker at
+a = 1 and a = 2, from Euler's criterion D^((p-1)/2) mod p at odd primes p,
+and from complete multiplicativity everywhere else: entry by entry in a
+short extension, and in a long one by one slice assignment per small
+prime and pass.  The scan compares each later period with the first as
+one integer, the period's bytes masked to the units mod d; the units and
+that mask come from one cached strike of the multiples of d's primes,
+which units_mod reads as well.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
+from operator import not_
 from typing import Optional
 
 from .qfield import is_squarefree, check_field_tag
@@ -123,23 +131,32 @@ def units_mod(d: int):
     """Residues mod d coprime to d.  For d = 1 this is (0,), the single class."""
     if d < 1:
         raise ValueError("units_mod expects d >= 1")
-    return tuple(a for a in range(d) if gcd(a, d) == 1)
+    return _struck_units(d)[0] if d > 1 else (0,)
 
 
 @lru_cache(maxsize=None)
-def _smallest_prime_factors(size: int):
+def _struck_units(d: int):
+    """The units a in [1, d], ascending (for d = 1, a = 1 alone), and their
+    mask, the integer whose byte a - 1 is 0xff at each unit a and 0
+    elsewhere: one byte per a in [1, d], with the multiples of each prime
+    of d struck out."""
+    flags = bytearray(b"\xff") * d
+    for p, _ in factorize(d):
+        flags[p - 1::p] = bytes(d // p)
+    return tuple(compress(range(1, d + 1), flags)), int.from_bytes(flags, "little")
+
+
+@lru_cache(maxsize=None)
+def _sieve(size: int):
     """For 0 <= a < size, the smallest prime factor of a if a is composite,
-    else 0.  Callers round size up to a power of two, so a sweep over
-    growing moduli builds a few of these, each on its first use."""
+    else 0; and the a in [1, size) where it is 0, ascending: 1 and the
+    primes, the entries of a field table that are read, not multiplied.
+    Callers round size up to a power of two, so a sweep over growing
+    moduli builds a few of these, each on its first use."""
     spf = [0] * size
-    p = 2
-    while p * p < size:
-        if not spf[p]:
-            for m in range(p * p, size, p):
-                if not spf[m]:
-                    spf[m] = p
-        p += 1
-    return spf
+    for p in range(isqrt(size - 1), 1, -1):
+        spf[p * p::p] = [p] * ((size - 1 - p * p) // p + 1)
+    return spf, tuple(compress(range(1, size), map(not_, spf[1:])))
 
 
 def _euler_symbol(d_tag: int, p: int) -> int:
@@ -158,23 +175,49 @@ def _field_table(d_tag: int) -> bytearray:
     return bytearray(1)
 
 
+# _TIMES[t] maps an entry x of a field table to x * t mod 3, the entry of a
+# product, for t = 0, 1 and 2 (which stands for -1)
+_TIMES = (bytes(256), bytes(range(256)), bytes.maketrans(b"\1\2", b"\2\1"))
+
+# extensions of at least this many entries are filled by slices
+_SLICE_FILL_FROM = 64
+
+
 def _grow(table: bytearray, d_tag: int, n: int) -> None:
-    """Fill the field table of D up to a = n, in increasing a, by complete
-    multiplicativity, (D/a) = (D/p)(D/(a/p)) for the smallest prime p | a,
-    so only 1 and primes are read directly: kronecker at 1 and 2, where the
-    symbol's own conventions apply, and Euler's criterion at odd primes."""
-    spf = _smallest_prime_factors(1 << n.bit_length())
-    for a in range(len(table), n + 1):
-        p = spf[a]
-        table.append(table[p] * table[a // p] % 3 if p
-                     else _euler_symbol(d_tag, a) % 3 if a > 2
-                     else kronecker(d_tag, a) % 3)
+    """Fill the field table of D up to a = n by complete multiplicativity,
+    (D/a) = (D/p)(D/(a/p)) for a prime p | a.  Only 1 and primes are read
+    directly, once each and in increasing a: kronecker at 1 and 2, where
+    the symbol's own conventions apply, and Euler's criterion at odd
+    primes.
 
-
-@lru_cache(maxsize=None)
-def _units_through(d: int):
-    """The units a in [1, d], ascending; for d = 1 that is a = 1 alone."""
-    return tuple(a for a in range(1, d + 1) if gcd(a, d) == 1)
+    An extension shorter than _SLICE_FILL_FROM is filled entry by entry,
+    in increasing a, from the smallest prime p | a.  A longer one, from
+    lo = len(table), first reads its 1 and primes; then, for each prime
+    p <= sqrt(n) from the largest down, one slice assignment writes every
+    multiple p*m >= lo, m >= 2, from the entry at m.  A composite's last
+    write comes from its smallest prime p and reads m = a/p, whose primes
+    are all >= p, so m is final by then, unless p | m and m >= lo: a slice
+    reads the table as it was before the pass, so the pass is repeated
+    while p^j * lo <= n."""
+    lo = len(table)
+    spf, reads = _sieve(1 << n.bit_length())
+    if n + 1 - lo < _SLICE_FILL_FROM:
+        for a in range(lo, n + 1):
+            p = spf[a]
+            table.append(table[p] * table[a // p] % 3 if p
+                         else _euler_symbol(d_tag, a) % 3 if a > 2
+                         else kronecker(d_tag, a) % 3)
+        return
+    table.extend(bytes(n + 1 - lo))
+    for a in reads[bisect_left(reads, lo):bisect_right(reads, n)]:
+        table[a] = _euler_symbol(d_tag, a) % 3 if a > 2 else kronecker(d_tag, a) % 3
+    for p in reversed(reads[1:bisect_right(reads, isqrt(n))]):
+        m = max(2, -(-lo // p))
+        times = _TIMES[table[p]]
+        power = 1
+        while power * lo <= n:
+            table[p * m::p] = table[m:n // p + 1].translate(times)
+            power *= p
 
 
 @lru_cache(maxsize=None)
@@ -187,22 +230,29 @@ def _character_defined_mod(d: int, d_tag: int):
     these are the orbit sets.  Returns None otherwise.
 
     The values come from the field's one table of (D/a), shared by the
-    scans of every order and grown a period at a time, to the last unit
-    that the scan reads.  The table assumes no periodicity, which is what
-    the scan tests.  The units of [1, d] come from a per-order cache; the
-    scan reads their values in its first period, a in [1, d], and compares
-    each later period with them as one list per period.
+    scans of every order.  The table assumes no periodicity, which is what
+    the scan tests.  The units of [1, d] and their mask come from a
+    per-order cache.  The scan reads the units' values in its first
+    period, a in [1, d], and compares each later period k (a in
+    [kd + 1, kd + d]) with the first as one integer, the period's bytes
+    masked to the units.  Period k grows the table, where it is short,
+    through period 2k - 1, capped at the last unit below 10d: a full scan
+    grows it at most four times after the first period, and a scan that
+    fails at period 1 reads no further than that period.
     """
     table = _field_table(d_tag)
-    units = _units_through(d)
+    units, mask = _struck_units(d)
     last = units[-1]
-    _grow(table, d_tag, last)
+    if len(table) <= last:
+        _grow(table, d_tag, last)
     first = [table[a] for a in units]
     if 0 in first:
         return None
+    period = int.from_bytes(table[1:last + 1], "little") & mask
     for base in range(d, 10 * d, d):
-        _grow(table, d_tag, base + last)
-        if [table[base + a] for a in units] != first:
+        if len(table) <= base + last:
+            _grow(table, d_tag, min(2 * base - d, 9 * d) + last)
+        if int.from_bytes(table[base + 1:base + last + 1], "little") & mask != period:
             return None
     minus = tuple(a for a, v in zip(units, first) if v == 2)
     if not minus:

@@ -32,7 +32,7 @@ def clear_scan_caches():
     """Empty every cache behind is_reducible: the checked field tags, the
     per-field tables of (D/a), the per-order units and the verdicts."""
     for cache in (cyclo.field_discriminant, cyclo._field_table,
-                  cyclo._units_through, cyclo._character_defined_mod,
+                  cyclo._struck_units, cyclo._character_defined_mod,
                   cyclo.is_reducible):
         cache.cache_clear()
 

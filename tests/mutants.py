@@ -96,8 +96,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    for base in range(d, 9 * d, d):\n",
            ("tests/test_cyclo.py::test_scan_reads_each_prime_once_per_field_in_increasing_order",)),
     Mutant("table_grown_one_entry_short", CYCLO,
-           "    for a in range(len(table), n + 1):\n",
-           "    for a in range(len(table), n):\n",
+           "        for a in range(lo, n + 1):\n",
+           "        for a in range(lo, n):\n",
            ("tests/test_cyclo.py::test_is_reducible_matches_character_scan",
             "tests/test_cyclo.py::test_scan_reads_each_prime_once_per_field_in_increasing_order",
             "tests/test_cyclo.py::test_scan_results_do_not_depend_on_the_order_of_visits",
@@ -115,6 +115,25 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_cyclo.py::test_is_reducible_matches_character_scan",
             "tests/test_cyclo.py::test_orbit_sets_match_kronecker_per_unit",
             "tests/test_golden_report.py::test_report_reproduces_golden_file")),
+    Mutant("slice_pass_one_multiple_late", CYCLO,
+           "        m = max(2, -(-lo // p))\n",
+           "        m = max(2, -(-lo // p)) + 1\n",
+           ("tests/test_cyclo.py::test_table_fill_matches_oracle_in_one_call_and_in_steps",
+            "tests/test_cyclo.py::test_is_reducible_matches_character_scan")),
+    Mutant("slice_pass_not_repeated_for_prime_powers", CYCLO,
+           "        while power * lo <= n:\n",
+           "        if power * lo <= n:\n",
+           ("tests/test_cyclo.py::test_table_fill_matches_oracle_in_one_call_and_in_steps",
+            "tests/test_cyclo.py::test_scan_results_do_not_depend_on_the_order_of_visits",
+            "tests/test_cyclo.py::test_orbit_sets_match_kronecker_per_unit")),
+    Mutant("mask_drops_the_unit_1", CYCLO,
+           'int.from_bytes(flags, "little")',
+           'int.from_bytes(flags, "little") & ~0xff',
+           ("tests/test_cyclo.py::test_struck_units_and_mask_match_gcd",)),
+    Mutant("scan_lookahead_past_10d", CYCLO,
+           "min(2 * base - d, 9 * d) + last",
+           "min(2 * base - d, 10 * d) + last",
+           ("tests/test_cyclo.py::test_scan_reads_each_prime_once_per_field_in_increasing_order",)),
     Mutant("euler_symbol_wrong_sign_at_13", CYCLO,
            "    return -1 if v == p - 1 else v\n",
            "    return (-1 if v == p - 1 else v) * (-1 if p == 13 else 1)\n",
@@ -170,6 +189,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_cusp.py::test_from_blocks_stores_one_matrix_with_its_blocks_as_slices",
             "tests/test_cusp.py::test_product_slices_follow_the_block_formulas",
             "tests/test_cusp.py::test_nf_group_laws")),
+    Mutant("fixes_point_always_true", CUSP,
+           "    return g.x_mat @ w0 + g.y == w0\n",
+           "    return True\n",
+           ("tests/test_cusp.py::test_tangent_exponents_errors_and_fractional_shift",)),
     Mutant("b_orthogonalize_skips_first_vector", CUSP,
            "    for prev in vecs:\n        c = c - prev.scale(",
            "    for prev in vecs[1:]:\n        c = c - prev.scale(",

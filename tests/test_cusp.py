@@ -8,6 +8,7 @@ from ballquot import cusp
 from ballquot.cusp import (BoundaryElement, BoundaryPoint, CuspFrame,
                            apply_boundary_action, boundary_divisor_fixed,
                            boundary_tangent_exponents, check_qr_congruences,
+                           fixes_boundary_point,
                            is_in_NF, is_in_UF, is_in_WF, normalize_cusp_basis,
                            sigma_element, uf_lattice_generator, uf_translation)
 from ballquot.qfield import FieldTagError, QElem, QMatrix, in_ring_of_integers
@@ -490,9 +491,9 @@ def test_tangent_exponents_errors_and_fractional_shift():
     u = uf_translation(frame, x0)
     rng = random.Random(99)
     g = cusp.random_nf_element(rng, frame)
-    if g.x_mat @ w0 + g.y != w0:
-        with pytest.raises(ValueError):
-            boundary_tangent_exponents(g, w0, frame, x0)
+    assert not fixes_boundary_point(g, w0)
+    with pytest.raises(ValueError, match="does not fix"):
+        boundary_tangent_exponents(g, w0, frame, x0)
     # a fractional central translation is torsion with denominator order
     u7 = uf_translation(frame, x0 / 7)
     es = boundary_tangent_exponents(u7, w0, frame, x0)

@@ -325,6 +325,31 @@ def test_euler_symbol_matches_oracle():
             assert cyclo._euler_symbol(D, p) == kronecker_oracle(D, p), (D, p)
 
 
+@pytest.mark.parametrize("D", SCAN_FIELDS)
+def test_table_fill_matches_oracle_in_one_call_and_in_steps(D):
+    # an extension of 64 entries or more is filled by slices, a shorter one
+    # entry by entry; a fresh table grown to 5000 in one call, or in steps
+    # of 1, 7, 64 or 200 entries, holds (D/a) mod 3 at every a
+    limit = 5000
+    expected = [0] + [kronecker_oracle(D, a) % 3 for a in range(1, limit + 1)]
+    for step in (limit, 1, 7, 64, 200):
+        table = bytearray(1)
+        for n in range(step, limit + step, step):
+            cyclo._grow(table, D, min(n, limit))
+        assert list(table) == expected, step
+
+
+def test_struck_units_and_mask_match_gcd():
+    # the units of [1, d], with 0xff at byte a - 1 of the mask for each unit
+    # a; units_mod lists the same residues, as (0,) at d = 1
+    for d in range(1, 2000):
+        flags = [gcd(a, d) == 1 for a in range(1, d + 1)]
+        units = tuple(a for a, unit in zip(range(1, d + 1), flags) if unit)
+        mask = int.from_bytes(bytes(0xff if unit else 0 for unit in flags), "little")
+        assert cyclo._struck_units(d) == (units, mask), d
+        assert units_mod(d) == tuple(a for a in range(d) if gcd(a, d) == 1), d
+
+
 def kronecker_orbit_sets(d, D):
     """The orbits as kronecker reads them, one call per unit mod d."""
     plus, minus = [], []
