@@ -347,10 +347,10 @@ def _brute_sigma(a: QElem, d_tag: int) -> Fraction:
             continue
         g = Fraction(c.denominator, abs(c.numerator))
         step = g if step is None else cusp._lcm_fractions(step, g)
-    sqrt_d = QElem.sqrt_d(d_tag)
+    a_sqrt_d = a * QElem.sqrt_d(d_tag)
     for m in range(1, 10 ** 6 + 1):
         x = m * step
-        if in_ring_of_integers(a * sqrt_d * QElem.of(d_tag, x)):
+        if in_ring_of_integers(a_sqrt_d * QElem.of(d_tag, x)):
             return x
     raise AssertionError("oracle scan exhausted")
 

@@ -13,7 +13,7 @@ induced action on the tangent space at a fixed boundary point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
@@ -76,8 +76,9 @@ class BoundaryElement:
         mat, npl = self.mat, self.mat.rows
         if mat.cols != npl or npl < 3:
             raise ValueError("boundary elements are square of size >= 3")
-        if not (mat.submatrix(1, 0, npl - 1, 1).is_zero
-                and mat.submatrix(npl - 1, 0, 1, npl - 1).is_zero):
+        # column 0 below the corner, then the bottom row between its corners
+        col, row = slice(npl, None, npl), slice((npl - 1) * npl + 1, npl * npl - 1)
+        if any(mat.re[col]) or any(mat.rt[col]) or any(mat.re[row]) or any(mat.rt[row]):
             raise ValueError("matrix is not block upper-triangular")
 
     @classmethod
@@ -189,10 +190,19 @@ def normalize_cusp_basis(qprime: QMatrix, n: int):
 # ---------------------------------------------------------------------------
 # membership
 
+@lru_cache(maxsize=16)
 def is_in_NF(g: BoundaryElement, frame: CuspFrame) -> bool:
     """The four stabiliser relations, checked exactly: z conj(u) = 1,
     X^H B X = B, X^H B y + a z v^H = 0 and the corner relation
-    y^H B y + conj(a z) w + a z conj(w) = 0."""
+    y^H B y + conj(a z) w + a z conj(w) = 0.
+
+    Both arguments are frozen and compare and hash by value, so the answer
+    is kept for the last 16 pairs: apply_boundary_action and each check of
+    a 2-torsion element begin with this test, so the case analysis asks it
+    about one element several times, and a frame of the cusp property
+    suite asks about seven elements before it comes back to three of them.
+    The size/field guard raises on every call, as an exception is never
+    kept."""
     if g.size != frame.n + 1 or g.d != frame.d:
         raise ValueError("element size or field does not match the frame")
     if g.z * g.u.conj() != QElem.one(frame.d):

@@ -179,6 +179,11 @@ def _field_table(d_tag: int) -> bytearray:
 # product, for t = 0, 1 and 2 (which stands for -1)
 _TIMES = (bytes(256), bytes(range(256)), bytes.maketrans(b"\1\2", b"\2\1"))
 
+# flags of the a with (D/a) = +1, and with (D/a) = -1, from the entries of
+# a field table
+_PLUS_FLAGS = bytes.maketrans(b"\2", b"\0")
+_MINUS_FLAGS = bytes.maketrans(b"\1\2", b"\0\1")
+
 # extensions of at least this many entries are filled by slices
 _SLICE_FILL_FROM = 64
 
@@ -245,19 +250,21 @@ def _character_defined_mod(d: int, d_tag: int):
     last = units[-1]
     if len(table) <= last:
         _grow(table, d_tag, last)
-    first = [table[a] for a in units]
-    if 0 in first:
-        return None
     period = int.from_bytes(table[1:last + 1], "little") & mask
+    # byte a - 1 holds (D/a) at each unit a and 0 at every other a
+    first = period.to_bytes(last, "little")
+    if first.count(0) != last - len(units):
+        return None
     for base in range(d, 10 * d, d):
         if len(table) <= base + last:
             _grow(table, d_tag, min(2 * base - d, 9 * d) + last)
         if int.from_bytes(table[base + 1:base + last + 1], "little") & mask != period:
             return None
-    minus = tuple(a for a, v in zip(units, first) if v == 2)
+    span = range(1, last + 1)
+    minus = tuple(compress(span, first.translate(_MINUS_FLAGS)))
     if not minus:
         return None
-    return tuple(a for a, v in zip(units, first) if v == 1), minus
+    return tuple(compress(span, first.translate(_PLUS_FLAGS))), minus
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -349,10 +356,12 @@ def suitable_fields(d: int):
     cyclotomic field, i.e. the splitting fields; ordered by |D|."""
     if d < 3:
         raise ValueError("suitable_fields expects d >= 3")
+    divisors = [1]
+    for p, e in factorize(d):
+        divisors = [q * p ** k for q in divisors for k in range(e + 1)]
     out = []
-    for f in range(3, d + 1):
-        if d % f:
-            continue
+    # -1 and -2 (f = 1, 2) pass neither test: they are no discriminant
+    for f in divisors:
         delta = -f
         if delta % 4 == 1 and is_squarefree(delta):
             out.append(delta)

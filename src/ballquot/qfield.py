@@ -16,6 +16,13 @@ intermediate entry is a minor of the integer matrix, so each division by
 the previous pivot p is exact and is carried out as multiplication by
 conj(p) followed by integer division by the norm p*conj(p).  No floating
 point is used anywhere; a float coordinate is refused.
+
+Only the public constructors check their input: ``QElem(d, re, rt)``,
+``QMatrix(...)``, ``from_rows``, ``column``, ``identity``, ``zero`` and
+``block_matrix`` refuse a bad tag, shape, entry or denominator.  The result
+of an operation on checked values is built by one of two trusted
+constructors, ``_elem`` for a scalar and ``_mat`` for a matrix, which
+reduce by the gcd and check nothing else.
 """
 
 from __future__ import annotations
@@ -369,8 +376,8 @@ class QMatrix:
             raise IndexError("submatrix out of range")
         index = [i * self.cols + j for i in range(row0, row0 + nrows)
                  for j in range(col0, col0 + ncols)]
-        return QMatrix(self.d, nrows, ncols, self.den,
-                       [self.re[k] for k in index], [self.rt[k] for k in index])
+        return _mat(self.d, nrows, ncols, self.den,
+                    [self.re[k] for k in index], [self.rt[k] for k in index])
 
     def scalar(self) -> QElem:
         if self.rows != 1 or self.cols != 1:
@@ -391,9 +398,9 @@ class QMatrix:
             raise ValueError("shape mismatch")
         den = lcm(self.den, other.den)
         f, g = den // self.den, sign * (den // other.den)
-        return QMatrix(self.d, self.rows, self.cols, den,
-                       [f * a + g * b for a, b in zip(self.re, other.re)],
-                       [f * a + g * b for a, b in zip(self.rt, other.rt)])
+        return _mat(self.d, self.rows, self.cols, den,
+                    [f * a + g * b for a, b in zip(self.re, other.re)],
+                    [f * a + g * b for a, b in zip(self.rt, other.rt)])
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         return self._combine(other, 1)
@@ -402,8 +409,8 @@ class QMatrix:
         return self._combine(other, -1)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.d, self.rows, self.cols, self.den,
-                       [-a for a in self.re], [-b for b in self.rt])
+        return _mat(self.d, self.rows, self.cols, self.den,
+                    [-a for a in self.re], [-b for b in self.rt])
 
     def scale(self, c) -> "QMatrix":
         c = c if isinstance(c, QElem) else QElem.of(self.d, c)
@@ -411,9 +418,9 @@ class QMatrix:
             raise FieldTagError(f"mixed field tags {c.d} and {self.d}")
         d, re, rt, cr, ct = self.d, self.re, self.rt, c.a, c.b
         dct = d * ct
-        return QMatrix(d, self.rows, self.cols, c.den * self.den,
-                       [cr * a + dct * b for a, b in zip(re, rt)],
-                       [cr * b + ct * a for a, b in zip(re, rt)])
+        return _mat(d, self.rows, self.cols, c.den * self.den,
+                    [cr * a + dct * b for a, b in zip(re, rt)],
+                    [cr * b + ct * a for a, b in zip(re, rt)])
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.d != other.d:
@@ -429,15 +436,15 @@ class QMatrix:
             for yr, yt in cols:
                 re.append(sum(map(mul, xr, yr)) + d * sum(map(mul, xt, yt)))
                 rt.append(sum(map(mul, xr, yt)) + sum(map(mul, xt, yr)))
-        return QMatrix(d, self.rows, p, self.den * other.den, re, rt)
+        return _mat(d, self.rows, p, self.den * other.den, re, rt)
 
     @property
     def h(self) -> "QMatrix":
         """The hermitian adjoint, the conjugate transpose."""
         nr, nc = self.rows, self.cols
         index = [j * nc + i for i in range(nc) for j in range(nr)]
-        return QMatrix(self.d, nc, nr, self.den,
-                       [self.re[k] for k in index], [-self.rt[k] for k in index])
+        return _mat(self.d, nc, nr, self.den,
+                    [self.re[k] for k in index], [-self.rt[k] for k in index])
 
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.h
@@ -495,7 +502,7 @@ class QMatrix:
             for xr, xt in zip(row_re[n:], row_rt[n:]):
                 out_re.append((xr * pr - d * xt * pt) * self.den)
                 out_rt.append((xt * pr - xr * pt) * self.den)
-        return QMatrix(d, n, n, pr * pr - d * pt * pt, out_re, out_rt)
+        return _mat(d, n, n, pr * pr - d * pt * pt, out_re, out_rt)
 
     def det(self) -> QElem:
         if self.rows != self.cols:
@@ -512,6 +519,19 @@ class QMatrix:
             ", ".join(str(self.at(i, j)) for j in range(self.cols))
             for i in range(self.rows)
         ) + "]"
+
+
+def _mat(d: int, rows: int, cols: int, den: int, re, rt) -> QMatrix:
+    """The rows x cols matrix of numerators re, rt over den, in lowest
+    terms, for a tag already checked, a shape that fits and den > 0, as
+    operations on checked matrices produce them; nothing is validated
+    again."""
+    g = gcd(den, *re, *rt)
+    if g > 1:
+        den, re, rt = den // g, [a // g for a in re], [b // g for b in rt]
+    m = _new(QMatrix)
+    m.__dict__.update(d=d, rows=rows, cols=cols, den=den, re=tuple(re), rt=tuple(rt))
+    return m
 
 
 def block_matrix(d: int, blocks: Iterable[Iterable]) -> QMatrix:

@@ -6,16 +6,17 @@ examples, and has no per-example deadline, so a slow machine cannot fail
 them; no example database is written.  Without hypothesis installed those
 tests skip themselves.
 
-Each test module leaves the character scan's caches empty when it ends, so
-what a later module counts (the traced kronecker calls of bench/tests, say)
-starts cold, as in a fresh process, whatever ran before it.  A test that
+Each test module leaves the character scan's caches and the stabiliser
+membership memo (``cusp.is_in_NF``) empty when it ends, so what a later
+module counts (the traced kronecker calls of bench/tests, say) starts
+cold, as in a fresh process, whatever ran before it.  A test that
 patches what the scan reads, or that must run cold, takes the
 ``cold_scan_caches`` fixture, which empties them before and after it.
 """
 
 import pytest
 
-from ballquot import cyclo
+from ballquot import cusp, cyclo
 
 try:
     from hypothesis import settings
@@ -41,6 +42,7 @@ def clear_scan_caches():
 def cold_scan_caches_after_module():
     yield
     clear_scan_caches()
+    cusp.is_in_NF.cache_clear()
 
 
 @pytest.fixture

@@ -39,6 +39,7 @@ CYCLO = "src/ballquot/cyclo.py"
 CUSP = "src/ballquot/cusp.py"
 REIDTAI = "src/ballquot/reidtai.py"
 CERTIFICATES = "src/ballquot/certificates.py"
+EIGEN = "src/ballquot/eigen.py"
 
 MUTANTS: Tuple[Mutant, ...] = (
     # -- scalars and matrices over Q(sqrt(D))
@@ -75,6 +76,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            "                sign = sign\n",
            ("tests/test_kernel.py::test_elimination_agrees_with_fraction_kernel",
             "tests/test_kernel.py::test_sympy_oracle_det_inverse_rank")),
+    Mutant("mat_skips_gcd", QFIELD,
+           "    g = gcd(den, *re, *rt)\n",
+           "    g = 1\n",
+           ("tests/test_kernel.py::test_every_result_is_in_lowest_terms_and_equal_values_hash_equal",
+            "tests/test_kernel.py::test_trusted_results_equal_their_public_rebuild_and_the_fraction_kernel",
+            "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
     Mutant("inverse_reduces_only_below_pivot", QFIELD,
            "targets = [i for i in range(nr) if i != r] if augment else range(r + 1, nr)",
            "targets = range(r + 1, nr)",
@@ -153,11 +160,30 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    omega = min(mc_unsplit(r) if fam.d_field is None\n",
            "    omega = min(mc_unsplit(r) if True\n",
            ("tests/test_reidtai.py::test_case_analysis_tables",)),
+    Mutant("small_d_bound_inclusive", REIDTAI,
+           "if (ph[d] // 2) * (ph[d] // 2 + 1) < 2 * d",
+           "if (ph[d] // 2) * (ph[d] // 2 + 1) <= 2 * d",
+           ("tests/test_reidtai.py::test_enumerate_small_d",
+            "tests/test_acceptance.py::test_criterion_04_small_d_list",
+            "tests/test_golden_report.py::test_report_reproduces_golden_file")),
+    Mutant("exceptional_bound_inclusive", REIDTAI,
+           "if (ph[r] // 2 - 1) * (ph[r] // 2) < 2 * r",
+           "if (ph[r] // 2 - 1) * (ph[r] // 2) <= 2 * r",
+           ("tests/test_reidtai.py::test_enumerate_exceptional_orders",
+            "tests/test_acceptance.py::test_criterion_03_exceptional_orders",
+            "tests/test_golden_report.py::test_report_reproduces_golden_file")),
     Mutant("hom_contribution_one_half_only", REIDTAI,
            "        halves = [orbit.members for orbit in orbit_sets(d, d_tag)]\n",
            "        halves = [orbit_sets(d, d_tag)[0].members]\n",
            ("tests/test_reidtai.py::test_hom_contribution_split_matches_kronecker_halves",
             "tests/test_golden_report.py::test_report_reproduces_golden_file")),
+    # -- eigenvalue exponents
+    Mutant("eigen_orbits_swapped", EIGEN,
+           "        plus, minus = cyclo.orbit_sets(e, m.d)\n",
+           "        minus, plus = cyclo.orbit_sets(e, m.d)\n",
+           ("tests/test_eigen.py::test_scalar_orbit_resolution",
+            "tests/test_eigen.py::test_companion_orbit_resolution",
+            "tests/test_eigen.py::test_block_diagonal_mixture")),
     # -- the cusp stabiliser
     Mutant("translation_relations_without_z", CUSP,
            "    az = frame.a * g.z\n",
@@ -177,6 +203,14 @@ MUTANTS: Tuple[Mutant, ...] = (
            "            and g.x_mat == QMatrix.identity(frame.d, frame.n - 1)\n"
            "            and is_in_NF(g, frame))\n",
            ("tests/test_cusp.py::test_memberships_refuse_an_element_of_another_size_or_field",)),
+    Mutant("triangularity_skips_last_bottom_entry", CUSP,
+           "slice((npl - 1) * npl + 1, npl * npl - 1)",
+           "slice((npl - 1) * npl + 1, npl * npl - 2)",
+           ("tests/test_cusp.py::test_constructor_needs_block_upper_triangular_shape",)),
+    Mutant("membership_memo_unbounded", CUSP,
+           "@lru_cache(maxsize=16)\ndef is_in_NF(",
+           "@lru_cache(maxsize=None)\ndef is_in_NF(",
+           ("tests/test_cusp.py::test_membership_memo_answers_by_element_and_frame_cold_and_warm",)),
     Mutant("compose_factors_reversed", CUSP,
            "        return BoundaryElement(self.mat @ other.mat)\n",
            "        return BoundaryElement(other.mat @ self.mat)\n",

@@ -109,6 +109,39 @@ def test_memberships_refuse_an_element_of_another_size_or_field(member):
             member(BoundaryElement(other), frame)
 
 
+def test_membership_memo_answers_by_element_and_frame_cold_and_warm():
+    """An element of N(F) for one frame and not for another, asked about
+    both frames in both orders, each time from an empty memo and then from
+    a warm one, through equal copies of the element."""
+    rng = random.Random(31)
+    frame_in, frame_out = (cusp.random_frame(rng, -7, 3) for _ in range(2))
+    g = cusp.random_nf_element(rng, frame_in)
+    # the oracle: whether g preserves each frame's form
+    want = {frame: g.mat.h @ frame.q_matrix() @ g.mat == frame.q_matrix()
+            for frame in (frame_in, frame_out)}
+    assert want == {frame_in: True, frame_out: False}
+    for order in ((frame_in, frame_out), (frame_out, frame_in)):
+        is_in_NF.cache_clear()
+        for _cold_then_warm in range(2):
+            for frame in order:
+                assert is_in_NF(BoundaryElement(g.mat), frame) == want[frame]
+        info = is_in_NF.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+    assert info.maxsize is not None and info.maxsize <= 256
+
+
+def test_membership_guard_raises_when_the_memo_is_warm():
+    rng = random.Random(32)
+    frame = cusp.random_frame(rng, -5, 3)
+    is_in_NF.cache_clear()
+    assert is_in_NF(identity_element(frame), frame)
+    for other in (QMatrix.identity(-5, 5), QMatrix.identity(-7, 4)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not match the frame"):
+                is_in_NF(BoundaryElement(other), frame)
+    assert is_in_NF.cache_info().currsize == 1
+
+
 def test_not_in_nf_when_scaling_breaks():
     rng = random.Random(2)
     frame = cusp.random_frame(rng, -5, 3)

@@ -465,6 +465,26 @@ def test_suitable_fields_complete_by_scan():
             assert (D in listed) == is_reducible(d, D), (d, D)
 
 
+def suitable_fields_by_every_f(d):
+    """The fields whose discriminant, -f or 4D, has f | d, found by testing
+    every f in [3, d]: the reference for suitable_fields, which reads the
+    divisors of d instead."""
+    from ballquot.qfield import is_squarefree
+    out = set()
+    for f in range(3, d + 1):
+        if d % f == 0:
+            if -f % 4 == 1 and is_squarefree(-f):
+                out.add(-f)
+            elif f % 4 == 0 and is_squarefree(-f // 4) and (-f // 4) % 4 in (2, 3):
+                out.add(-f // 4)
+    return tuple(sorted(out, key=abs))
+
+
+def test_suitable_fields_from_divisors_match_the_scan_over_every_f():
+    for d in range(3, 1000):
+        assert suitable_fields(d) == suitable_fields_by_every_f(d), d
+
+
 def test_cyclotomic_polynomial():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)

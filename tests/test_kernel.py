@@ -261,6 +261,54 @@ def test_every_result_is_in_lowest_terms_and_equal_values_hash_equal():
     assert QMatrix(-1, 1, 2, 6, (4, 2), (0, -8)) == QMatrix(-1, 1, 2, 3, (2, 1), (0, -4))
 
 
+def _by_pairs(op, *ms):
+    """op of reference_kernel applied entry by entry to the Fraction pairs of
+    equal-shape matrices, read back through the public constructor."""
+    d = ms[0].d
+    return QMatrix.from_rows(d, [
+        [QElem(d, *op(d, *((x.re, x.rt) for x in xs))) for xs in zip(*rows)]
+        for rows in zip(*(m.to_rows() for m in ms))])
+
+
+@pytest.mark.parametrize("d", (-6, -7))
+def test_trusted_results_equal_their_public_rebuild_and_the_fraction_kernel(d):
+    """Every operation that builds its result without the public checks
+    (products, sums, negation, scaling, the adjoint, slices and inverses)
+    returns a matrix in lowest terms that the checked constructor rebuilds
+    unchanged from its fields, equal to the reference kernel's value."""
+    rng = random.Random(9500 + d)
+    zero = (F(0), F(0))
+    for _ in range(40):
+        n, k, p = (rng.choice(SIZES) for _ in range(3))
+        a, b, c = _matrix(rng, d, n, k), _matrix(rng, d, n, k), _matrix(rng, d, k, p)
+        s = _elem(rng, d)
+        r0, c0 = rng.randrange(n), rng.randrange(k)
+        nr, nc = rng.randint(1, n - r0), rng.randint(1, k - c0)
+        square = _matrix(rng, d, n, n)
+        cases = [(a @ c, ref.matmul(a, c)),
+                 (a + b, _by_pairs(ref.elem_add, a, b)),
+                 (a - b, _by_pairs(ref.elem_sub, a, b)),
+                 (a - a, QMatrix.zero(d, n, k)),
+                 (-a, _by_pairs(lambda d, x: ref.elem_sub(d, zero, x), a)),
+                 (a.scale(s), _by_pairs(lambda d, x: ref.elem_mul(d, (s.re, s.rt), x), a)),
+                 (a.scale(0), QMatrix.zero(d, n, k)),
+                 (a.h, QMatrix.from_rows(d, [[x.conj() for x in col]
+                                             for col in zip(*a.to_rows())])),
+                 (a.submatrix(r0, c0, nr, nc), QMatrix.from_rows(
+                     d, [row[c0:c0 + nc] for row in a.to_rows()[r0:r0 + nr]]))]
+        inverse = _inverse_or_singular(QMatrix.inverse, square)
+        assert (inverse == "singular") == (_inverse_or_singular(ref.inverse, square)
+                                          == "singular")
+        if inverse != "singular":
+            cases += [(inverse, ref.inverse(square)),
+                      (square @ inverse, QMatrix.identity(d, n))]
+        for got, want in cases:
+            rebuilt = QMatrix(got.d, got.rows, got.cols, got.den, got.re, got.rt)
+            assert got == rebuilt and hash(got) == hash(rebuilt)
+            assert got.den > 0 and gcd(got.den, *got.re, *got.rt) == 1
+            _same(got, want)
+
+
 # ---------------------------------------------------------------------------
 # QElem against the Fraction-pair reference
 
@@ -332,9 +380,16 @@ def test_stored_form_checks_tags_and_shapes():
     with pytest.raises(ValueError):
         QMatrix.identity(-5, 2) - QMatrix.zero(-5, 2, 1)
     for bad in ((-1, 1, 1, 0, (1,), (0,)), (-1, 1, 1, -2, (1,), (0,)),
-                (-1, 1, 2, 1, (1,), (0,)), (-4, 1, 1, 1, (1,), (0,))):
+                (-1, 1, 2, 1, (1,), (0,)), (-4, 1, 1, 1, (1,), (0,)),
+                (-6.0, 1, 1, 1, (1,), (0,))):
         with pytest.raises(ValueError):
             QMatrix(*bad)
+    for bad_tag in (-4, -6.0):
+        for build in (lambda: QMatrix.identity(bad_tag, 2),
+                      lambda: QMatrix.zero(bad_tag, 1, 2),
+                      lambda: QMatrix.from_rows(bad_tag, [[1, 0]])):
+            with pytest.raises(ValueError):
+                build()
 
 
 # ---------------------------------------------------------------------------
