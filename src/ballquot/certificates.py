@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import cusp, reidtai, tables
@@ -338,6 +338,10 @@ def _claim_cusp_suite(cfg: RunConfig) -> Computed:
     return checks.computed(cfg, fields=fields, frames_per_field=FRAMES_PER_FIELD)
 
 
+def _lcm_fractions(a: Fraction, b: Fraction) -> Fraction:
+    return Fraction(lcm(a.numerator, b.numerator), gcd(a.denominator, b.denominator))
+
+
 def _brute_sigma(a: QElem, d_tag: int) -> Fraction:
     """Independent oracle: scan a sound grid for the least x > 0 with
     x*a*sqrt(D) integral, testing ring membership directly."""
@@ -346,11 +350,11 @@ def _brute_sigma(a: QElem, d_tag: int) -> Fraction:
         if c == 0:
             continue
         g = Fraction(c.denominator, abs(c.numerator))
-        step = g if step is None else cusp._lcm_fractions(step, g)
+        step = g if step is None else _lcm_fractions(step, g)
     a_sqrt_d = a * QElem.sqrt_d(d_tag)
     for m in range(1, 10 ** 6 + 1):
         x = m * step
-        if in_ring_of_integers(a_sqrt_d * QElem.of(d_tag, x)):
+        if in_ring_of_integers(a_sqrt_d * x):
             return x
     raise AssertionError("oracle scan exhausted")
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
 
 from .eigen import eigen_exponents
-from .qfield import QElem, QMatrix, block_matrix
+from .qfield import QElem, QMatrix, _elem, _mat, block_matrix, check_field_tag
 from .reidtai import EigenSystem
 
 
@@ -50,15 +49,23 @@ class CuspFrame:
 
     def q_matrix(self) -> QMatrix:
         """The assembled anti-diagonal hermitian form of signature (n, 1)."""
-        d, n = self.d, self.n
-        z_col = QMatrix.zero(d, n - 1, 1)
-        z_row = QMatrix.zero(d, 1, n - 1)
-        zero = QElem.zero(d)
-        return block_matrix(d, [
-            [zero, z_row, self.a],
-            [z_col, self.b_mat, z_col],
-            [self.a.conj(), z_row, zero],
-        ])
+        return self._q
+
+    @cached_property
+    def _q(self) -> QMatrix:
+        # (0 0 a / 0 B 0 / conj(a) 0 0) over lcm(den a, den B), assembled
+        # once per frame from the checked a and B
+        a, b, n = self.a, self.b_mat, self.n
+        den, m, size = lcm(a.den, b.den), n - 1, n + 1
+        fa, fb = den // a.den, den // b.den
+        re, rt = [0] * (size * size), [0] * (size * size)
+        re[n], rt[n] = fa * a.a, fa * a.b
+        re[n * size], rt[n * size] = fa * a.a, -fa * a.b
+        for i in range(m):
+            lo = (i + 1) * size + 1
+            re[lo:lo + m] = [fb * x for x in b.re[i * m:(i + 1) * m]]
+            rt[lo:lo + m] = [fb * x for x in b.rt[i * m:(i + 1) * m]]
+        return _mat(self.d, size, size, den, re, rt)
 
     def inner(self, x: QMatrix, y: QMatrix) -> QElem:
         """The B-inner product x^H B y of two column vectors."""
@@ -85,10 +92,11 @@ class BoundaryElement:
     def from_blocks(cls, u: QElem, v: QMatrix, w: QElem, x_mat: QMatrix,
                     y: QMatrix, z: QElem) -> "BoundaryElement":
         d, m = u.d, x_mat.rows
+        zeros = (0,) * m
         return cls(block_matrix(d, [
             [u, v, w],
-            [QMatrix.zero(d, m, 1), x_mat, y],
-            [QElem.zero(d), QMatrix.zero(d, 1, m), z],
+            [_mat(d, m, 1, 1, zeros, zeros), x_mat, y],
+            [_elem(d, 1, 0, 0), _mat(d, 1, m, 1, zeros, zeros), z],
         ]))
 
     @property
@@ -175,7 +183,7 @@ def normalize_cusp_basis(qprime: QMatrix, n: int):
     r = -(b_inv @ c)
     # the unique r' making the corner vanish with conj(a) * r' real
     chc = (c.h @ b_inv @ c).scalar()
-    r_prime = (dd - chc) * QElem.of(d, Fraction(-1, 2)) * a.conj().inverse()
+    r_prime = (dd - chc) * Fraction(-1, 2) * a.conj().inverse()
     m = n - 1
     n_mat = BoundaryElement.from_blocks(
         QElem.one(d), QMatrix.zero(d, 1, m), r_prime,
@@ -235,43 +243,34 @@ def is_in_UF(g: BoundaryElement, frame: CuspFrame) -> bool:
 # the integral lattice in the centre
 
 
-def _lcm_fractions(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(lcm(a.numerator, b.numerator), gcd(a.denominator, b.denominator))
-
-
 def uf_lattice_generator(a: QElem, d_tag: int) -> Fraction:
     """Positive generator x0 of {x in Q : x * a * sqrt(D) is integral}.
 
     The centre's integral points are the translations by x * a * sqrt(D)
     with x in x0 * Z; the lattice period is sigma = x0 * a * sqrt(D).
     Both congruence classes of D mod 4 are handled from the ring-membership
-    conditions; vanishing coordinates of a simply drop their condition.
+    conditions.  Each condition asks that x * c / den be an integer for an
+    integer c, where a = (a.a + a.b*sqrt(D)) / den; all of them hold iff
+    x * g / den is an integer for g the gcd of the c, so x0 = den / g.  A
+    vanishing c adds nothing to the gcd, so its condition simply drops.
     """
     if a.d != d_tag:
         raise ValueError("field tag mismatch")
     if a.is_zero:
         raise ValueError("a must be nonzero")
-    e, f = a.re, a.rt
-    # x * a * sqrt(D) = (f*D*x) + (e*x) * sqrt(D)
+    # x * a * sqrt(D) = (x * a.b * D + x * a.a * sqrt(D)) / den
     if d_tag % 4 == 1:
         # membership needs 2*rt and re - rt integral
-        coeffs = [2 * e, f * d_tag - e]
+        g = gcd(2 * a.a, a.b * d_tag - a.a)
     else:
-        coeffs = [f * d_tag, e]
-    gen: Optional[Fraction] = None
-    for c in coeffs:
-        if c == 0:
-            continue
-        g = Fraction(c.denominator, abs(c.numerator))
-        gen = g if gen is None else _lcm_fractions(gen, g)
-    assert gen is not None  # a != 0 rules out all-zero coefficients
-    return gen
+        g = gcd(a.b * d_tag, a.a)
+    return Fraction(a.den, g)
 
 
 def sigma_element(frame: CuspFrame, x0: Fraction) -> QElem:
     """x0 * a * sqrt(D) as a field element: the lattice period sigma when x0
     is the lattice generator."""
-    return frame.a * QElem.sqrt_d(frame.d) * QElem.of(frame.d, x0)
+    return frame.a * QElem.sqrt_d(frame.d) * x0
 
 
 def in_sigma_lattice(value: QElem, frame: CuspFrame, x0: Fraction) -> bool:
@@ -391,11 +390,14 @@ def random_rational(rng, max_num: int = 4, max_den: int = 3) -> Fraction:
 
 def random_qelem(rng, d_tag: int, max_num: int = 4, max_den: int = 3,
                  nonzero: bool = False) -> QElem:
+    """(p/q + r/s * sqrt(D)), drawing p, q, r, s in that order as two
+    random_rational calls do."""
+    check_field_tag(d_tag)
     while True:
-        x = QElem(d_tag, random_rational(rng, max_num, max_den),
-                  random_rational(rng, max_num, max_den))
-        if not nonzero or not x.is_zero:
-            return x
+        p, q = rng.randint(-max_num, max_num), rng.randint(1, max_den)
+        r, s = rng.randint(-max_num, max_num), rng.randint(1, max_den)
+        if not nonzero or p or r:
+            return _elem(d_tag, q * s, p * s, r * q)
 
 
 def random_vector(rng, d_tag: int, m: int, **kw) -> QMatrix:
@@ -463,7 +465,7 @@ def involution_from_vectors(frame: CuspFrame, vecs) -> QMatrix:
     x_mat = QMatrix.identity(d, m)
     for c in vecs:
         refl = QMatrix.identity(d, m) - (c @ (c.h @ frame.b_mat)).scale(
-            QElem.of(d, 2) * frame.inner(c, c).inverse())
+            2 * frame.inner(c, c).inverse())
         x_mat = x_mat @ refl
     return x_mat
 
@@ -472,10 +474,9 @@ def nf_element(frame: CuspFrame, x_mat: QMatrix, y: QMatrix, z: QElem,
                w_shift: Fraction) -> BoundaryElement:
     """Assemble the stabiliser element with the given unitary part, column y
     and torus parameter, solving the two remaining relations exactly."""
-    d = frame.d
     a = frame.a
     v = -(y.h @ frame.b_mat @ x_mat).scale((z.conj() * a.conj()).inverse())
-    w = frame.inner(y, y) * QElem.of(d, Fraction(-1, 2)) \
+    w = frame.inner(y, y) * Fraction(-1, 2) \
         * (z.conj() * a.conj()).inverse() + z * sigma_element(frame, w_shift)
     u = z.conj().inverse()
     return BoundaryElement.from_blocks(u, v, w, x_mat, y, z)

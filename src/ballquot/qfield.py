@@ -18,18 +18,22 @@ conj(p) followed by integer division by the norm p*conj(p).  No floating
 point is used anywhere; a float coordinate is refused.
 
 Only the public constructors check their input: ``QElem(d, re, rt)``,
-``QMatrix(...)``, ``from_rows``, ``column``, ``identity``, ``zero`` and
-``block_matrix`` refuse a bad tag, shape, entry or denominator.  The result
-of an operation on checked values is built by one of two trusted
-constructors, ``_elem`` for a scalar and ``_mat`` for a matrix, which
-reduce by the gcd and check nothing else.
+``QMatrix(...)``, ``from_rows``, ``column``, ``identity``, ``zero``,
+``block_matrix`` and the constants ``QElem.zero``, ``one`` and ``sqrt_d``
+refuse a bad tag, shape, entry or denominator.  The result of an operation
+on checked values is built by one of two trusted constructors, ``_elem``
+for a scalar and ``_mat`` for a matrix, which reduce by the gcd and check
+nothing else.  The constants check their tag once and build through
+``_elem``; ``block_matrix`` checks the tag, the blocks' tags and the tiling
+once, copies the integers of its blocks, which are checked values already,
+and builds the result through ``_mat``.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -39,19 +43,31 @@ class FieldTagError(ValueError):
     """Raised when elements of distinct quadratic fields are combined."""
 
 
+# the primes below 64, and their product
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_PRIMORIAL = prod(_SMALL_PRIMES)
+
+
 def is_squarefree(n: int) -> bool:
-    """True iff |n| has no repeated prime factor (0 is not squarefree)."""
+    """True iff |n| has no repeated prime factor (0 is not squarefree).
+
+    g = gcd(n, product of the primes below 64) holds each small prime of n
+    once, so a small prime repeats iff it also divides n // g; what is left
+    then has no prime factor below 67 and is trial-divided from there.
+    """
     n = abs(n)
-    if n == 0 or n % 4 == 0:
+    if n == 0:
         return False
-    if n % 2 == 0:
-        n //= 2
-    p = 3
+    g = gcd(n, _PRIMORIAL)
+    n //= g
+    if gcd(n, g) > 1:
+        return False
+    p = 67
     while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
+        if n % p == 0:
             n //= p
+            if n % p == 0:
+                return False
         p += 2
     return True
 
@@ -133,15 +149,15 @@ class QElem:
 
     @classmethod
     def zero(cls, d: int) -> "QElem":
-        return cls.of(d)
+        return _elem(check_field_tag(d), 1, 0, 0)
 
     @classmethod
     def one(cls, d: int) -> "QElem":
-        return cls.of(d, 1)
+        return _elem(check_field_tag(d), 1, 1, 0)
 
     @classmethod
     def sqrt_d(cls, d: int) -> "QElem":
-        return cls.of(d, 0, 1)
+        return _elem(check_field_tag(d), 1, 0, 1)
 
     # -- helpers -----------------------------------------------------------
 
@@ -537,25 +553,31 @@ def _mat(d: int, rows: int, cols: int, den: int, re, rt) -> QMatrix:
 def block_matrix(d: int, blocks: Iterable[Iterable]) -> QMatrix:
     """Assemble a matrix from a grid of QMatrix blocks and scalar QElems.
 
-    QElem entries are treated as 1x1 blocks; block shapes must tile.
+    QElem entries are treated as 1x1 blocks; block shapes must tile.  The
+    tag, the blocks' tags and the tiling are checked here once; the blocks
+    themselves are checked values, so their integers are copied as they are
+    and the result is built by ``_mat``.
     """
-    grid = [[b if isinstance(b, QMatrix) else QMatrix(b.d, 1, 1, b.den, (b.a,), (b.b,))
-             for b in block_row] for block_row in blocks]
+    check_field_tag(d)
+    grid = [list(block_row) for block_row in blocks]
     if any(b.d != d for block_row in grid for b in block_row):
         raise FieldTagError("block field tag differs from matrix tag")
     den = lcm(*(b.den for block_row in grid for b in block_row))
     re, rt, widths = [], [], set()
     for block_row in grid:
-        height = block_row[0].rows
-        if any(b.rows != height for b in block_row):
+        # (rows, cols, den, re, rt) of each block, a QElem read as 1x1
+        parts = [(b.rows, b.cols, b.den, b.re, b.rt) if isinstance(b, QMatrix)
+                 else (1, 1, b.den, (b.a,), (b.b,)) for b in block_row]
+        height = parts[0][0]
+        if any(p[0] != height for p in parts):
             raise ValueError("inconsistent block heights")
-        widths.add(sum(b.cols for b in block_row))
+        widths.add(sum(p[1] for p in parts))
         for i in range(height):
-            for b in block_row:
-                f, lo, hi = den // b.den, i * b.cols, (i + 1) * b.cols
-                re += [f * a for a in b.re[lo:hi]]
-                rt += [f * a for a in b.rt[lo:hi]]
+            for _, cols, bden, bre, brt in parts:
+                f, lo, hi = den // bden, i * cols, (i + 1) * cols
+                re += [f * a for a in bre[lo:hi]]
+                rt += [f * a for a in brt[lo:hi]]
     if len(widths) != 1:
         raise ValueError("inconsistent block widths")
     width = widths.pop()
-    return QMatrix(d, len(re) // width, width, den, re, rt)
+    return _mat(d, len(re) // width, width, den, re, rt)

@@ -89,6 +89,28 @@ MUTANTS: Tuple[Mutant, ...] = (
             "tests/test_kernel.py::test_sympy_oracle_det_inverse_rank",
             "tests/test_qfield.py::test_matrix_inverse_and_rank",
             "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
+    Mutant("block_scale_factor_dropped", QFIELD,
+           "                f, lo, hi = den // bden, i * cols, (i + 1) * cols\n",
+           "                f, lo, hi = 1, i * cols, (i + 1) * cols\n",
+           ("tests/test_kernel.py::test_block_matrix_equals_the_checked_assembly_and_the_fraction_pairs",
+            "tests/test_cusp.py::test_q_matrix_and_from_blocks_equal_the_checked_assembly",
+            "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
+    Mutant("block_matrix_skips_tag_check", QFIELD,
+           "    check_field_tag(d)\n    grid = [list(block_row) for block_row in blocks]\n",
+           "    grid = [list(block_row) for block_row in blocks]\n",
+           ("tests/test_kernel.py::test_block_matrix_refuses_bad_tags_and_tilings",)),
+    Mutant("constant_one_skips_tag_check", QFIELD,
+           "return _elem(check_field_tag(d), 1, 1, 0)",
+           "return _elem(d, 1, 1, 0)",
+           ("tests/test_qfield.py::test_constants_refuse_what_the_checked_constructor_refuses",)),
+    Mutant("squarefree_primorial_drops_61", QFIELD,
+           ", 53, 59, 61)\n",
+           ", 53, 59)\n",
+           ("tests/test_qfield.py::test_is_squarefree_matches_brute_force",)),
+    Mutant("squarefree_trial_starts_past_67", QFIELD,
+           "    p = 67\n",
+           "    p = 69\n",
+           ("tests/test_qfield.py::test_is_squarefree_matches_brute_force",)),
     # -- the orbit stack
     Mutant("is_reducible_cache_untyped", CYCLO,
            "@lru_cache(maxsize=None, typed=True)\ndef is_reducible(",
@@ -233,6 +255,35 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_cusp.py::test_tangent_exponents_order2",
             "tests/test_eigen.py::test_involution_exponents_match_trace",
             "tests/test_acceptance.py::test_criterion_09_boundary_order2_suite")),
+    Mutant("q_matrix_corner_unconjugated", CUSP,
+           "re[n * size], rt[n * size] = fa * a.a, -fa * a.b",
+           "re[n * size], rt[n * size] = fa * a.a, fa * a.b",
+           ("tests/test_cusp.py::test_q_matrix_and_from_blocks_equal_the_checked_assembly",
+            "tests/test_cusp.py::test_normalize_random_frames_property",
+            "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
+    Mutant("q_matrix_b_scale_dropped", CUSP,
+           "fa, fb = den // a.den, den // b.den",
+           "fa, fb = den // a.den, 1",
+           ("tests/test_cusp.py::test_q_matrix_and_from_blocks_equal_the_checked_assembly",)),
+    Mutant("lattice_generator_drops_den", CUSP,
+           "    return Fraction(a.den, g)\n",
+           "    return Fraction(1, g)\n",
+           ("tests/test_cusp.py::test_uf_lattice_generator_equals_the_fraction_formula_on_a_grid",
+            "tests/test_cusp.py::test_uf_lattice_generator_against_scan",
+            "tests/test_acceptance.py::test_criterion_08_sigma_oracle")),
+    Mutant("lattice_generator_odd_class_drops_2", CUSP,
+           "g = gcd(2 * a.a, a.b * d_tag - a.a)",
+           "g = gcd(a.a, a.b * d_tag - a.a)",
+           ("tests/test_cusp.py::test_uf_lattice_generator_equals_the_fraction_formula_on_a_grid",
+            "tests/test_cusp.py::test_uf_lattice_generator_against_scan")),
+    Mutant("random_qelem_rt_over_wrong_den", CUSP,
+           "return _elem(d_tag, q * s, p * s, r * q)",
+           "return _elem(d_tag, q * s, p * s, r * s)",
+           ("tests/test_cusp.py::test_random_qelem_draws_what_the_fraction_construction_draws",)),
+    Mutant("random_qelem_skips_tag_check", CUSP,
+           "    check_field_tag(d_tag)\n    while True:\n",
+           "    while True:\n",
+           ("tests/test_cusp.py::test_random_qelem_refuses_a_bad_tag",)),
     # -- certificates
     Mutant("checks_note_drops_where", CERTIFICATES,
            "            self.failures.append(where)\n",

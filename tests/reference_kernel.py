@@ -10,9 +10,15 @@ Matrices: the schoolbook product and Gauss-Jordan elimination, written with
 QElem arithmetic entry by entry.  They are slow and independent of the
 integer matrix kernel of ``QMatrix``, which the differential tests compare
 against them entry by entry.
+
+Block assembly: ``checked_block_matrix`` builds what ``block_matrix`` builds
+through the public checks alone, each scalar block wrapped in a checked 1x1
+``QMatrix`` and the result rebuilt by ``QMatrix(...)``.
 """
 
-from ballquot.qfield import QElem, QMatrix
+from math import lcm
+
+from ballquot.qfield import FieldTagError, QElem, QMatrix
 
 
 def elem_add(d, x, y):
@@ -123,3 +129,26 @@ def det(m: QMatrix) -> QElem:
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[c])]
     return out
+
+
+def checked_block_matrix(d, blocks) -> QMatrix:
+    grid = [[b if isinstance(b, QMatrix) else QMatrix(b.d, 1, 1, b.den, (b.a,), (b.b,))
+             for b in block_row] for block_row in blocks]
+    if any(b.d != d for block_row in grid for b in block_row):
+        raise FieldTagError("block field tag differs from matrix tag")
+    den = lcm(*(b.den for block_row in grid for b in block_row))
+    re, rt, widths = [], [], set()
+    for block_row in grid:
+        height = block_row[0].rows
+        if any(b.rows != height for b in block_row):
+            raise ValueError("inconsistent block heights")
+        widths.add(sum(b.cols for b in block_row))
+        for i in range(height):
+            for b in block_row:
+                f, lo, hi = den // b.den, i * b.cols, (i + 1) * b.cols
+                re += [f * a for a in b.re[lo:hi]]
+                rt += [f * a for a in b.rt[lo:hi]]
+    if len(widths) != 1:
+        raise ValueError("inconsistent block widths")
+    width = widths.pop()
+    return QMatrix(d, len(re) // width, width, den, re, rt)

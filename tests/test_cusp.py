@@ -1,9 +1,11 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
+import reference_kernel as ref
 from ballquot import cusp
 from ballquot.cusp import (BoundaryElement, BoundaryPoint, CuspFrame,
                            apply_boundary_action, boundary_divisor_fixed,
@@ -237,6 +239,80 @@ def test_from_blocks_stores_one_matrix_with_its_blocks_as_slices():
                 g.u = g.z
 
 
+def _checked_q_matrix(frame):
+    """The form as it was assembled before the trusted path: public zero
+    blocks through the checked block assembly."""
+    d, n = frame.d, frame.n
+    z_col, z_row = QMatrix.zero(d, n - 1, 1), QMatrix.zero(d, 1, n - 1)
+    zero = QElem.zero(d)
+    return ref.checked_block_matrix(d, [[zero, z_row, frame.a],
+                                        [z_col, frame.b_mat, z_col],
+                                        [frame.a.conj(), z_row, zero]])
+
+
+def _checked_from_blocks(u, v, w, x_mat, y, z):
+    d, m = u.d, x_mat.rows
+    return ref.checked_block_matrix(d, [[u, v, w],
+                                        [QMatrix.zero(d, m, 1), x_mat, y],
+                                        [QElem.zero(d), QMatrix.zero(d, 1, m), z]])
+
+
+def _fraction_pairs(m):
+    return [[(x.re, x.rt) for x in row] for row in m.to_rows()]
+
+
+@pytest.mark.parametrize("d_tag", (-5, -6, -7, -15))
+def test_q_matrix_and_from_blocks_equal_the_checked_assembly(d_tag):
+    """q_matrix() is assembled once per frame from the checked a and B, and
+    from_blocks uses zero blocks built without the public checks; both must
+    give what the public checks alone give, in lowest terms, with the
+    Fraction pairs of the reference kernel in every entry."""
+    rng = random.Random(1800 - d_tag)
+    zero = (F(0), F(0))
+    for n in (2, 3, 4):
+        m = n - 1
+        for _ in range(4):
+            frame = cusp.random_frame(rng, d_tag, n)
+            if rng.random() < 0.5:  # denominators of a and B that differ
+                frame = CuspFrame(n, d_tag, frame.a * F(rng.randint(1, 9), rng.randint(1, 9)),
+                                  frame.b_mat.scale(F(rng.randint(1, 9), rng.randint(1, 9))))
+            q, want = frame.q_matrix(), _checked_q_matrix(frame)
+            assert q == want and hash(q) == hash(want)
+            assert q.den > 0 and gcd(q.den, *q.re, *q.rt) == 1
+            assert frame.q_matrix() is q
+            pairs = [[zero] * (n + 1) for _ in range(n + 1)]
+            a = (frame.a.re, frame.a.rt)
+            pairs[0][n], pairs[n][0] = a, ref.elem_conj(d_tag, a)
+            for i, row in enumerate(_fraction_pairs(frame.b_mat)):
+                pairs[i + 1][1:n] = row
+            assert _fraction_pairs(q) == pairs
+
+            blocks = (cusp.random_qelem(rng, d_tag, nonzero=True),
+                      cusp.random_vector(rng, d_tag, m).h, cusp.random_qelem(rng, d_tag),
+                      QMatrix.from_rows(d_tag, [[cusp.random_qelem(rng, d_tag, 5, 7)
+                                                 for _ in range(m)] for _ in range(m)]),
+                      cusp.random_vector(rng, d_tag, m),
+                      cusp.random_qelem(rng, d_tag, nonzero=True))
+            g, want = BoundaryElement.from_blocks(*blocks).mat, _checked_from_blocks(*blocks)
+            assert g == want and hash(g) == hash(want)
+            assert g.den > 0 and gcd(g.den, *g.re, *g.rt) == 1
+            u, v, w, x_mat, y, z = (_fraction_pairs(b) if isinstance(b, QMatrix)
+                                    else (b.re, b.rt) for b in blocks)
+            assert _fraction_pairs(g) == (
+                [[u, *v[0], w]] + [[zero, *xr, yr[0]] for xr, yr in zip(x_mat, y)]
+                + [[zero] + [zero] * m + [z]])
+
+
+def test_q_matrix_is_kept_by_the_frame_without_changing_its_value():
+    rng = random.Random(1801)
+    frame = cusp.random_frame(rng, -7, 3)
+    twin = CuspFrame(frame.n, frame.d, frame.a, frame.b_mat)
+    q = frame.q_matrix()
+    assert frame == twin and hash(frame) == hash(twin)
+    assert twin.q_matrix() == q and twin.q_matrix() is not q
+    assert [f.name for f in dataclasses.fields(CuspFrame)] == ["n", "d", "a", "b_mat"]
+
+
 def test_product_slices_follow_the_block_formulas():
     rng = random.Random(17)
     for d_tag in (-5, -6, -7, -15):
@@ -350,9 +426,12 @@ def test_nf_group_laws():
 # ---------------------------------------------------------------------------
 # the integral lattice generator
 
+def _lcm_fractions(a, b):
+    return F(lcm(a.numerator, b.numerator), gcd(a.denominator, b.denominator))
+
+
 def brute_sigma(a, d_tag, bound=200000):
     """Scan a sound grid for the least positive x with x*a*sqrt(D) integral."""
-    from ballquot.cusp import _lcm_fractions
     step = None
     for c in (2 * a.re, 2 * a.rt * d_tag):
         if c == 0:
@@ -389,7 +468,6 @@ def test_uf_lattice_generator_against_scan():
 
 
 def test_uf_lattice_lcm_formula():
-    from math import gcd
     rng = random.Random(7)
     for d_tag in (-5, -6, -10, -13):
         dprime = -d_tag
@@ -403,6 +481,33 @@ def test_uf_lattice_lcm_formula():
             formula = F((s * p * r * dprime * q) // gcd(s * p, r * dprime * q),
                         r * dprime * p)
             assert uf_lattice_generator(QElem.of(d_tag, e, f), d_tag) == formula
+
+
+def _lattice_generator_by_fractions(a, d_tag):
+    """uf_lattice_generator as it was computed before the integer formula:
+    one generator Fraction per nonzero coefficient, joined by the lcm of
+    fractions."""
+    e, f = a.re, a.rt
+    coeffs = [2 * e, f * d_tag - e] if d_tag % 4 == 1 else [f * d_tag, e]
+    gen = None
+    for c in coeffs:
+        if c == 0:
+            continue
+        g = F(c.denominator, abs(c.numerator))
+        gen = g if gen is None else _lcm_fractions(gen, g)
+    return gen
+
+
+def test_uf_lattice_generator_equals_the_fraction_formula_on_a_grid():
+    values = sorted({F(p, q) for p in range(-5, 6) for q in (1, 2, 3, 4, 6, 10)})
+    for d_tag in (-1, -2, -3, -5, -6, -7, -15, -30):  # both classes of D mod 4
+        for e in values:
+            for f in values:
+                if e == f == 0:
+                    continue
+                got = uf_lattice_generator(QElem(d_tag, e, f), d_tag)
+                assert got == _lattice_generator_by_fractions(QElem(d_tag, e, f), d_tag)
+                assert isinstance(got, F) and got > 0, (d_tag, e, f)
 
 
 def test_uf_translation_integrality():
@@ -570,3 +675,34 @@ def test_boundary_divisor_trivial_excluded():
     u = cusp.random_uf_element(rng, frame)
     with pytest.raises(ValueError):
         boundary_divisor_fixed(u, frame)
+
+
+# ---------------------------------------------------------------------------
+# random instances
+
+def _random_qelem_by_fractions(rng, d_tag, max_num=4, max_den=3, nonzero=False):
+    """random_qelem as it was built before: two random_rational draws and
+    one checked QElem per draw."""
+    while True:
+        x = QElem(d_tag, cusp.random_rational(rng, max_num, max_den),
+                  cusp.random_rational(rng, max_num, max_den))
+        if not nonzero or not x.is_zero:
+            return x
+
+
+def test_random_qelem_draws_what_the_fraction_construction_draws():
+    for d_tag in FIELDS:
+        for args in ((), (2, 2), (5, 5, True), (1, 1, True), (6, 5)):
+            got_rng, want_rng = random.Random(d_tag), random.Random(d_tag)
+            for _ in range(100):
+                got = cusp.random_qelem(got_rng, d_tag, *args)
+                want = _random_qelem_by_fractions(want_rng, d_tag, *args)
+                assert got == want and hash(got) == hash(want)
+                assert got.den > 0 and gcd(got.den, got.a, got.b) == 1
+            assert got_rng.random() == want_rng.random()  # as many draws
+
+
+@pytest.mark.parametrize("bad", (-4, -6.0, 5, F(-3)))
+def test_random_qelem_refuses_a_bad_tag(bad):
+    with pytest.raises(ValueError):
+        cusp.random_qelem(random.Random(0), bad)

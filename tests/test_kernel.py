@@ -309,6 +309,55 @@ def test_trusted_results_equal_their_public_rebuild_and_the_fraction_kernel(d):
             _same(got, want)
 
 
+def _pairs(m):
+    return [[(x.re, x.rt) for x in row] for row in m.to_rows()]
+
+
+@pytest.mark.parametrize("d", (-5, -6, -7, -15))
+def test_block_matrix_equals_the_checked_assembly_and_the_fraction_pairs(d):
+    """block_matrix copies the integers of its checked blocks and builds
+    through the trusted constructor; it must give what the public checks
+    alone give (ref.checked_block_matrix), in lowest terms, with each entry
+    the Fraction pair of the block entry it comes from.  The grids are the
+    cusp shape (1, n-1, 1) x (1, n-1, 1) and random tilings."""
+    rng = random.Random(9700 + d)
+    for n in (2, 3, 4):
+        for _ in range(12):
+            if rng.random() < 0.5:
+                heights = widths = [1, n - 1, 1]
+            else:
+                heights = [rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+                widths = [rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+            blocks = [[_matrix(rng, d, h, w) for w in widths] for h in heights]
+            spec = [[b.scalar() if b.rows == b.cols == 1 and rng.random() < 0.7 else b
+                     for b in row] for row in blocks]
+            got = block_matrix(d, spec)
+            want = ref.checked_block_matrix(d, spec)
+            assert got == want and hash(got) == hash(want)
+            assert got.den > 0 and gcd(got.den, *got.re, *got.rt) == 1
+            assert _pairs(got) == [sum((_pairs(b)[i] for b in row), [])
+                                   for row in blocks for i in range(row[0].rows)]
+
+
+def test_block_matrix_refuses_bad_tags_and_tilings():
+    i1, i2 = QMatrix.identity(-6, 1), QMatrix.identity(-6, 2)
+    for bad_tag in (-4, -6.0):
+        for blocks in ([[i1]], [[QElem.one(-6)]], [[QElem.one(-6), i1]]):
+            with pytest.raises(ValueError):
+                block_matrix(bad_tag, blocks)
+            with pytest.raises(ValueError):
+                ref.checked_block_matrix(bad_tag, blocks)
+    for blocks in ([[i1, QMatrix.identity(-7, 1)]], [[QElem.one(-6)], [QElem.one(-7)]]):
+        with pytest.raises(FieldTagError):
+            block_matrix(-6, blocks)
+    with pytest.raises(ValueError, match="heights"):
+        block_matrix(-6, [[i2, i1]])
+    with pytest.raises(ValueError, match="widths"):
+        block_matrix(-6, [[i1, QElem.one(-6)], [i1]])
+    with pytest.raises(ValueError, match="widths"):
+        block_matrix(-6, [[i2], [i1, i1, i1]])
+
+
 # ---------------------------------------------------------------------------
 # QElem against the Fraction-pair reference
 

@@ -51,23 +51,68 @@ def squarefree_by_every_square(n):
     return n != 0 and all(n % (p * p) for p in range(2, isqrt(n) + 1))
 
 
+def squarefree_flags(limit):
+    """flags[n] for 0 <= n <= limit: no k*k with k >= 2 divides n, found by
+    striking every multiple of every square up to limit."""
+    flags = [True] * (limit + 1)
+    flags[0] = False
+    for k in range(2, isqrt(limit) + 1):
+        for m in range(k * k, limit + 1, k * k):
+            flags[m] = False
+    return flags
+
+
 ODD_PRIMES = (3, 5, 7, 11, 13, 97, 101, 139, 10007, 10009, 65537)
 
 
 def test_is_squarefree_matches_brute_force():
-    # every |n| <= 20000, then the cases an odd-only trial division could
+    # every |n| <= 10^5; then the cases an odd-only trial division could
     # miss: squares of odd primes alone and beside a factor 2, and products
-    # of two large primes, whose smaller factor the loop must reach
-    for n in range(-20000, 20001):
-        assert is_squarefree(n) == squarefree_by_every_square(n), n
+    # of two large primes, whose smaller factor the loop must reach; then
+    # the primes on both sides of 64, where the gcd with the product of the
+    # small primes hands over to trial division, with their squares beside
+    # other factors; last, numbers above 10^12 whose trial division runs
+    # long or not at all
+    limit = 10 ** 5
+    flags = squarefree_flags(limit)
+    for n in range(-limit, limit + 1):
+        assert is_squarefree(n) == flags[abs(n)], n
     special = [0, 1, -1, 2, -2, 4, 8]
     for p in ODD_PRIMES:
         special += [p * p, -p * p, 2 * p * p, 4 * p * p, 2 * p, p ** 3]
     for i, p in enumerate(ODD_PRIMES):
         for q in ODD_PRIMES[i:]:
             special += [p * q, -2 * p * q]
+    for p in (59, 61, 67, 71, 101):
+        for k in (1, 2, 3, 5, 30, 61 * 67, 71 * 101, 10007, -1):
+            special += [p * p * k, p * k, p ** 3 * k]
     for n in special:
         assert is_squarefree(n) == squarefree_by_every_square(n), n
+    # 1000003 and 1000033 are prime
+    big = {1000003 * 1000033: True, -1000003 * 1000033: True, 1000003 ** 2: False,
+           304250263527210: True,  # the product of the primes up to 41
+           2 * 61 * 1000003 * 1000033: True, 61 ** 2 * 1000003 * 1000033: False,
+           67 ** 2 * 1000003 * 1000033: False, 3 * 1000033 ** 2: False}
+    for n, want in big.items():
+        assert abs(n) > 10 ** 12
+        assert is_squarefree(n) is want, n
+
+
+@pytest.mark.parametrize("bad", (-4, -12, -6.0, F(-3), 0, 3, True, "-5"))
+def test_constants_refuse_what_the_checked_constructor_refuses(bad):
+    for build in (QElem.zero, QElem.one, QElem.sqrt_d,
+                  lambda d: QElem(d, 0, 0), lambda d: QElem.of(d, 1)):
+        with pytest.raises(ValueError):
+            build(bad)
+
+
+def test_constants_equal_the_checked_construction():
+    for d in FIELDS:
+        for got, coords in ((QElem.zero(d), (0, 0)), (QElem.one(d), (1, 0)),
+                            (QElem.sqrt_d(d), (0, 1))):
+            want = QElem(d, *coords)
+            assert got == want and hash(got) == hash(want)
+            assert (got.d, got.den, got.a, got.b) == (d, 1, *coords)
 
 
 # ---------------------------------------------------------------------------
