@@ -10,7 +10,7 @@ rng = random.Random(42)
 
 print("== normalizing a flag-compatible Gram matrix (n = 2, D = -5) ==")
 qprime = QMatrix.from_rows(-5, [[0, 0, 1], [0, 1, 1], [1, 1, 2]])
-n_mat, frame = cusp.normalize_cusp_basis(qprime, 2)
+n_mat, frame = cusp.normalize_cusp_basis(qprime)
 print("input   :", qprime)
 print("change  :", n_mat)
 print("result  :", n_mat.h @ qprime @ n_mat)
@@ -38,7 +38,7 @@ print("centre commutes with radical?", u.compose(w) == w.compose(u))
 print()
 print("== the integral lattice in the centre ==")
 for a in (QElem.of(-5, 1), QElem.of(-5, 0, 1), QElem.of(-5, F(1, 2), F(1, 3))):
-    x0 = cusp.uf_lattice_generator(a, -5)
+    x0 = cusp.uf_lattice_generator(a)
     print(f"a = {a}: generator x0 = {x0}")
 
 print()

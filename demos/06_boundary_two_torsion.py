@@ -12,15 +12,15 @@ for trial in range(5):
     d_tag = rng.choice((-5, -6, -7, -11))
     frame = cusp.random_frame(rng, d_tag, rng.choice((3, 4)))
     inst = cusp.random_order2_element(rng, frame)
-    g, w0, x0 = inst.element, inst.fixed_point, inst.sigma_gen
+    g, w0 = inst.element, inst.fixed_point
 
     gsq = g.compose(g)
-    es = cusp.boundary_tangent_exponents(g, w0, frame, x0)
+    es = cusp.boundary_tangent_exponents(g, w0, frame)
     exps = [F(a, es.order) for a in es.exponents]
     print(f"D = {d_tag}, n = {frame.n}, reflections = {inst.reflections}")
     print("  square lies in the integral centre:",
-          cusp.is_in_UF(gsq, frame) and cusp.in_sigma_lattice(gsq.w, frame, x0))
-    print("  congruence relations hold:", cusp.check_qr_congruences(g, frame, x0))
+          cusp.is_in_UF(gsq, frame) and cusp.in_sigma_lattice(gsq.w, frame))
+    print("  congruence relations hold:", cusp.check_qr_congruences(g, frame))
     print("  tangent exponents:", exps)
     if is_quasi_reflection(es):
         print("  acts as a quasi-reflection (single nontrivial eigenvalue)")

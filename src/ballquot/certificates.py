@@ -305,7 +305,7 @@ def _claim_cusp_suite(cfg: RunConfig) -> Computed:
             note = partial(checks.note, D=d_tag, frame=i)
 
             qprime = _random_unnormalized(rng, frame)
-            n_mat, recovered = cusp.normalize_cusp_basis(qprime, n)
+            n_mat, recovered = cusp.normalize_cusp_basis(qprime)
             note(n_mat.h @ qprime @ n_mat == recovered.q_matrix(),
                  check="normalization block shape")
             note(recovered.a == frame.a and recovered.b_mat == frame.b_mat,
@@ -342,10 +342,10 @@ def _lcm_fractions(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(lcm(a.numerator, b.numerator), gcd(a.denominator, b.denominator))
 
 
-def _brute_sigma(a: QElem, d_tag: int) -> Fraction:
+def _brute_sigma(a: QElem) -> Fraction:
     """Independent oracle: scan a sound grid for the least x > 0 with
     x*a*sqrt(D) integral, testing ring membership directly."""
-    step = None
+    d_tag, step = a.d, None
     for c in (2 * a.re, 2 * a.rt * d_tag):
         if c == 0:
             continue
@@ -372,8 +372,8 @@ def _claim_sigma_oracle(cfg: RunConfig) -> Computed:
         while len(cases) < SIGMA_PER_FIELD + 2:
             cases.append(cusp.random_qelem(rng, d_tag, 5, 5, nonzero=True))
         for a in cases:
-            got = cusp.uf_lattice_generator(a, d_tag)
-            want = _brute_sigma(a, d_tag)
+            got = cusp.uf_lattice_generator(a)
+            want = _brute_sigma(a)
             checks.note(got == want, D=d_tag, a=a, got=got, oracle=want)
     return checks.computed(cfg, fields=fields, per_field=SIGMA_PER_FIELD + 2)
 
@@ -396,7 +396,7 @@ def _claim_sigma_lcm(cfg: RunConfig) -> Computed:
                 (s * p * r * dprime * q) // gcd(s * p, r * dprime * q),
                 r * dprime * p,
             )
-            got = cusp.uf_lattice_generator(a, d_tag)
+            got = cusp.uf_lattice_generator(a)
             checks.note(got == formula, D=d_tag, a=a, got=got, formula=formula)
     return checks.computed(cfg, fields=fields, per_field=SIGMA_PER_FIELD)
 
@@ -411,16 +411,16 @@ def _claim_boundary_order2(cfg: RunConfig) -> Computed:
             n = rng.choice((2, 3, 3, 4))
             frame = cusp.random_frame(rng, d_tag, n)
             inst = cusp.random_order2_element(rng, frame)
-            g, w0, x0 = inst.element, inst.fixed_point, inst.sigma_gen
+            g, w0 = inst.element, inst.fixed_point
             note = partial(checks.note, D=d_tag, instance=i)
             note(cusp.is_in_NF(g, frame), check="stabiliser membership")
             gsq = g.compose(g)
             note(cusp.is_in_UF(gsq, frame)
-                 and cusp.in_sigma_lattice(gsq.w, frame, x0),
+                 and cusp.in_sigma_lattice(gsq.w, frame),
                  check="square lies in the integral centre")
             note(cusp.fixes_boundary_point(g, w0), check="fixes the boundary point")
-            note(cusp.check_qr_congruences(g, frame, x0), check="congruence relations")
-            es = cusp.boundary_tangent_exponents(g, w0, frame, x0)
+            note(cusp.check_qr_congruences(g, frame), check="congruence relations")
+            es = cusp.boundary_tangent_exponents(g, w0, frame)
             note(all(Fraction(a, es.order) in (0, half) for a in es.exponents),
                  check="tangent exponents in {0, 1/2}")
             if not is_quasi_reflection(es):

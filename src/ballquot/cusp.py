@@ -24,22 +24,26 @@ from .reidtai import EigenSystem
 
 @dataclass(frozen=True)
 class CuspFrame:
-    """Normalized Gram data (a, B) of a signature-(n,1) form at the cusp."""
+    """Normalized Gram data (a, B) of a signature-(n,1) form at the cusp.
 
-    n: int
-    d: int
+    B fixes the ambient dimension n = rows of B + 1 and the field tag d;
+    both are plain attributes set once here, not fields, so that equality
+    and hashing see (a, B) only."""
+
     a: QElem
     b_mat: QMatrix
 
     def __post_init__(self):
+        object.__setattr__(self, "n", self.b_mat.rows + 1)
+        object.__setattr__(self, "d", self.b_mat.d)
         if self.n < 2:
-            raise ValueError("frames need ambient dimension n >= 2")
-        if self.a.d != self.d or self.b_mat.d != self.d:
+            raise ValueError("frames need a nonempty B (ambient dimension n >= 2)")
+        if self.a.d != self.d:
             raise ValueError("field tags of frame data disagree")
         if self.a.is_zero:
             raise ValueError("the isotropic pairing entry a must be nonzero")
-        if self.b_mat.rows != self.n - 1 or self.b_mat.cols != self.n - 1:
-            raise ValueError("B must be (n-1) x (n-1)")
+        if self.b_mat.cols != self.n - 1:
+            raise ValueError("B must be square")
         if not self.b_mat.is_hermitian():
             raise ValueError("B must be hermitian")
         for k in range(1, self.n):
@@ -70,6 +74,12 @@ class CuspFrame:
     def inner(self, x: QMatrix, y: QMatrix) -> QElem:
         """The B-inner product x^H B y of two column vectors."""
         return (x.h @ self.b_mat @ y).scalar()
+
+    @cached_property
+    def sigma_gen(self) -> Fraction:
+        """The generator x0 of the integral lattice in the centre, computed
+        from a on first use and kept."""
+        return uf_lattice_generator(self.a)
 
 
 @dataclass(frozen=True)
@@ -154,17 +164,20 @@ class BoundaryPoint:
 # normalization
 
 
-def normalize_cusp_basis(qprime: QMatrix, n: int):
+def normalize_cusp_basis(qprime: QMatrix):
     """Basis change moving a flag-compatible hermitian matrix to the
     anti-diagonal block shape.
 
-    The input must be hermitian of size n+1 with first row (0, ..., 0, a),
-    a != 0.  Returns (N, frame) where N is unimodular over the field,
-    N^H Q' N has exact anti-diagonal blocks and the corner entry is 0.
+    The input must be hermitian of size n+1 >= 3 with first row
+    (0, ..., 0, a), a != 0.  Returns (N, frame) where N is unimodular over
+    the field, N^H Q' N has exact anti-diagonal blocks and the corner entry
+    is 0.
     """
-    d = qprime.d
-    if qprime.rows != n + 1 or qprime.cols != n + 1:
-        raise ValueError("Q' must be (n+1) x (n+1)")
+    d, n = qprime.d, qprime.rows - 1
+    if qprime.cols != qprime.rows:
+        raise ValueError("Q' must be square")
+    if n < 2:
+        raise ValueError("Q' must be at least 3 x 3")
     if not qprime.is_hermitian():
         raise ValueError("Q' must be hermitian")
     for j in range(n):
@@ -188,7 +201,7 @@ def normalize_cusp_basis(qprime: QMatrix, n: int):
     n_mat = BoundaryElement.from_blocks(
         QElem.one(d), QMatrix.zero(d, 1, m), r_prime,
         QMatrix.identity(d, m), r, QElem.one(d)).mat
-    frame = CuspFrame(n, d, a, b)
+    frame = CuspFrame(a, b)
     result = n_mat.h @ qprime @ n_mat
     if result != frame.q_matrix():
         raise ArithmeticError("normalization failed to reach the block shape")
@@ -243,7 +256,7 @@ def is_in_UF(g: BoundaryElement, frame: CuspFrame) -> bool:
 # the integral lattice in the centre
 
 
-def uf_lattice_generator(a: QElem, d_tag: int) -> Fraction:
+def uf_lattice_generator(a: QElem) -> Fraction:
     """Positive generator x0 of {x in Q : x * a * sqrt(D) is integral}.
 
     The centre's integral points are the translations by x * a * sqrt(D)
@@ -254,8 +267,7 @@ def uf_lattice_generator(a: QElem, d_tag: int) -> Fraction:
     x * g / den is an integer for g the gcd of the c, so x0 = den / g.  A
     vanishing c adds nothing to the gcd, so its condition simply drops.
     """
-    if a.d != d_tag:
-        raise ValueError("field tag mismatch")
+    d_tag = a.d
     if a.is_zero:
         raise ValueError("a must be nonzero")
     # x * a * sqrt(D) = (x * a.b * D + x * a.a * sqrt(D)) / den
@@ -273,9 +285,9 @@ def sigma_element(frame: CuspFrame, x0: Fraction) -> QElem:
     return frame.a * QElem.sqrt_d(frame.d) * x0
 
 
-def in_sigma_lattice(value: QElem, frame: CuspFrame, x0: Fraction) -> bool:
+def in_sigma_lattice(value: QElem, frame: CuspFrame) -> bool:
     """Is value an integer multiple of the lattice period?"""
-    q = value / sigma_element(frame, x0)
+    q = value / sigma_element(frame, frame.sigma_gen)
     return q.rt == 0 and q.re.denominator == 1
 
 
@@ -322,7 +334,7 @@ def _fixes_point(g: BoundaryElement, w0: QMatrix) -> bool:
 
 
 def boundary_tangent_exponents(g: BoundaryElement, w0: QMatrix,
-                               frame: CuspFrame, sigma_gen: Fraction) -> EigenSystem:
+                               frame: CuspFrame) -> EigenSystem:
     """Eigenvalue exponents of the tangent action at a fixed boundary point.
 
     The torus direction contributes the rational exponent t / sigma where
@@ -336,7 +348,7 @@ def boundary_tangent_exponents(g: BoundaryElement, w0: QMatrix,
     if not _fixes_point(g, w0):
         raise ValueError("element does not fix the boundary point")
     t = (g.v @ w0).scalar() + g.w
-    q = t / sigma_element(frame, sigma_gen)
+    q = t / sigma_element(frame, frame.sigma_gen)
     if q.rt != 0:
         raise ValueError("non-torsion boundary element: torus shift is not "
                          "a rational multiple of the period")
@@ -348,8 +360,7 @@ def boundary_tangent_exponents(g: BoundaryElement, w0: QMatrix,
     return EigenSystem(m, tuple(exps))
 
 
-def check_qr_congruences(g: BoundaryElement, frame: CuspFrame,
-                         sigma_gen: Fraction) -> bool:
+def check_qr_congruences(g: BoundaryElement, frame: CuspFrame) -> bool:
     """For a 2-torsion element modulo the centre: v + vX = 0, Xy + y = 0,
     and 2w + v.y = 0 modulo the sigma lattice, all exact."""
     if not is_in_NF(g, frame):
@@ -361,7 +372,7 @@ def check_qr_congruences(g: BoundaryElement, frame: CuspFrame,
     rel1 = (g.v + g.v @ g.x_mat).is_zero
     rel2 = (g.x_mat @ g.y + g.y).is_zero
     corner = 2 * g.w + (g.v @ g.y).scalar()
-    rel3 = in_sigma_lattice(corner, frame, sigma_gen)
+    rel3 = in_sigma_lattice(corner, frame)
     return rel1 and rel2 and rel3
 
 
@@ -416,7 +427,7 @@ def random_frame(rng, d_tag: int, n: int) -> CuspFrame:
             break
     b = r.h @ r
     a = random_qelem(rng, d_tag, 3, 2, nonzero=True)
-    return CuspFrame(n, d_tag, a, b)
+    return CuspFrame(a, b)
 
 
 def random_b_unitary(rng, frame: CuspFrame) -> QMatrix:
@@ -502,12 +513,11 @@ def random_uf_element(rng, frame: CuspFrame) -> BoundaryElement:
 
 @dataclass(frozen=True)
 class Order2Instance:
-    """A 2-torsion-mod-centre stabiliser element and a boundary point it
-    fixes, together with the lattice generator."""
+    """A 2-torsion-mod-centre stabiliser element, a boundary point it fixes,
+    and the number of B-reflections in its unitary part."""
 
     element: BoundaryElement
     fixed_point: QMatrix
-    sigma_gen: Fraction
     reflections: int
 
 
@@ -519,7 +529,7 @@ def random_order2_element(rng, frame: CuspFrame) -> Order2Instance:
     that the square lands in the integral centre exactly.
     """
     d, m = frame.d, frame.n - 1
-    x0 = uf_lattice_generator(frame.a, frame.d)
+    x0 = frame.sigma_gen
     k = rng.randint(1, m)
     vecs = random_b_reflection_vectors(rng, frame, k)
     x_mat = involution_from_vectors(frame, vecs)
@@ -534,4 +544,4 @@ def random_order2_element(rng, frame: CuspFrame) -> Order2Instance:
         frame, vecs, random_vector(rng, d, m, max_num=2, max_den=1))
     if rng.choice((False, True)):
         g = -g  # the overall sign acts trivially; exercises z = -1 handling
-    return Order2Instance(g, w0, x0, k)
+    return Order2Instance(g, w0, k)

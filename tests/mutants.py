@@ -2,11 +2,12 @@
 
 Each mutant names a file of the tree, an exact text in it, the faulty text
 that replaces it, and the tests that fail when it is applied.  The Tier-1
-suite only checks that each text still occurs exactly once in its file
-(``test_mutants.py``), so an entry whose code has changed fails loudly
-instead of going stale.  Applying a mutant means: copy the tree, replace
-the text in the copy, and run the test suite there; every test named in
-``caught_by`` fails.
+suite (``test_mutants.py``) checks that each text still occurs exactly
+once in its file, that the ids are unique, and that each test named in
+``caught_by`` is defined at the top level of its file, so an entry whose
+code or tests have changed fails loudly instead of going stale.  Applying
+a mutant means: copy the tree, replace the text in the copy, and run the
+test suite there; every test named in ``caught_by`` fails.
 
 Run ``python tests/mutants.py`` from anywhere to apply every mutant in turn,
 each in a temporary copy of the tree.  The tests a mutant names run one
@@ -276,6 +277,15 @@ MUTANTS: Tuple[Mutant, ...] = (
            "g = gcd(a.a, a.b * d_tag - a.a)",
            ("tests/test_cusp.py::test_uf_lattice_generator_equals_the_fraction_formula_on_a_grid",
             "tests/test_cusp.py::test_uf_lattice_generator_against_scan")),
+    Mutant("frame_accepts_empty_b", CUSP,
+           "        if self.n < 2:\n"
+           "            raise ValueError(\"frames need a nonempty B (ambient dimension n >= 2)\")\n",
+           "",
+           ("tests/test_cusp.py::test_frame_validation",)),
+    Mutant("frame_sigma_gen_doubled", CUSP,
+           "        return uf_lattice_generator(self.a)\n",
+           "        return 2 * uf_lattice_generator(self.a)\n",
+           ("tests/test_cusp.py::test_sigma_gen_of_a_frame_matches_the_scan",)),
     Mutant("random_qelem_rt_over_wrong_den", CUSP,
            "return _elem(d_tag, q * s, p * s, r * q)",
            "return _elem(d_tag, q * s, p * s, r * s)",

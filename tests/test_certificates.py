@@ -306,7 +306,7 @@ def test_cli_kernel_faults_exit_3(monkeypatch, capsys):
 def test_cli_arithmetic_error_exits_3(monkeypatch, capsys):
     from ballquot import cusp
 
-    def fails(qprime, n):
+    def fails(qprime):
         raise ArithmeticError("normalization failed to reach the block shape")
 
     monkeypatch.setattr(cusp, "normalize_cusp_basis", fails)
@@ -364,7 +364,7 @@ def test_boundary_order2_lists_each_failed_check(monkeypatch):
 
 
 def _doubled_at_minus_6(orig):
-    return lambda a, d_tag: orig(a, d_tag) * (2 if d_tag == -6 else 1)
+    return lambda a: orig(a) * (2 if a.d == -6 else 1)
 
 
 @pytest.mark.parametrize("claim_id, reference", [("sigma_oracle", "oracle"),

@@ -1,12 +1,12 @@
 import dataclasses
 import random
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
 import reference_kernel as ref
-from ballquot import cusp
+from ballquot import certificates, cusp
 from ballquot.cusp import (BoundaryElement, BoundaryPoint, CuspFrame,
                            apply_boundary_action, boundary_divisor_fixed,
                            boundary_tangent_exponents, check_qr_congruences,
@@ -28,19 +28,26 @@ def identity_element(frame):
 
 def test_frame_validation():
     b = QMatrix.from_rows(-5, [[2, 0], [0, 3]])
-    frame = CuspFrame(3, -5, QElem.one(-5), b)
+    frame = CuspFrame(QElem.one(-5), b)
     assert frame.q_matrix().is_hermitian()
     bad = QMatrix.from_rows(-5, [[-1, 0], [0, 1]])
     with pytest.raises(ValueError):
-        CuspFrame(3, -5, QElem.one(-5), bad)
+        CuspFrame(QElem.one(-5), bad)
     with pytest.raises(ValueError):
-        CuspFrame(3, -5, QElem.zero(-5), b)
+        CuspFrame(QElem.zero(-5), b)
+    for a, b_mat in ((QElem.one(-6), b),  # field tags of a and B disagree
+                     (QElem.one(-5), QMatrix.from_rows(-5, [[2, 0, 0], [0, 3, 0]])),  # 2 x 3
+                     (QElem.one(-5), b.submatrix(0, 0, 0, 0)),  # empty B
+                     (QElem.one(-5), b.submatrix(0, 0, 0, 2)),  # B with no rows
+                     (QElem.one(-5), QMatrix.from_rows(-5, [[2, 1], [0, 3]]))):  # not hermitian
+        with pytest.raises(ValueError):
+            CuspFrame(a, b_mat)
 
 
 def test_normalize_identity_input():
-    frame = CuspFrame(3, -7, QElem.of(-7, 2, 1), QMatrix.from_rows(-7, [[1, 0], [0, 2]]))
+    frame = CuspFrame(QElem.of(-7, 2, 1), QMatrix.from_rows(-7, [[1, 0], [0, 2]]))
     q = frame.q_matrix()
-    n_mat, recovered = normalize_cusp_basis(q, 3)
+    n_mat, recovered = normalize_cusp_basis(q)
     assert n_mat == QMatrix.identity(-7, 4)
     assert recovered == frame
 
@@ -48,7 +55,7 @@ def test_normalize_identity_input():
 def test_normalize_worked_example():
     # n = 2, D = -5: first row (0, 0, 1), B = (1), c = (1), d = 2
     qprime = QMatrix.from_rows(-5, [[0, 0, 1], [0, 1, 1], [1, 1, 2]])
-    n_mat, frame = normalize_cusp_basis(qprime, 2)
+    n_mat, frame = normalize_cusp_basis(qprime)
     expected_n = QMatrix.from_rows(-5, [[1, 0, F(-1, 2)], [0, 1, -1], [0, 0, 1]])
     assert n_mat == expected_n
     assert n_mat.h @ qprime @ n_mat == frame.q_matrix()
@@ -67,7 +74,7 @@ def test_normalize_random_frames_property():
             cusp.random_qelem(rng, d_tag), QMatrix.identity(d_tag, m),
             cusp.random_vector(rng, d_tag, m), QElem.one(d_tag)).mat
         qprime = p.h @ frame.q_matrix() @ p
-        n_mat, recovered = normalize_cusp_basis(qprime, n)
+        n_mat, recovered = normalize_cusp_basis(qprime)
         result = n_mat.h @ qprime @ n_mat
         assert result == recovered.q_matrix()
         assert recovered.a == frame.a and recovered.b_mat == frame.b_mat
@@ -81,11 +88,27 @@ def test_normalize_rejects_bad_inputs():
     # wrong zero pattern
     qprime = QMatrix.from_rows(-5, [[1, 0, 1], [0, 1, 0], [1, 0, 0]])
     with pytest.raises(ValueError):
-        normalize_cusp_basis(qprime, 2)
+        normalize_cusp_basis(qprime)
     # singular middle block
     qprime2 = QMatrix.from_rows(-5, [[0, 0, 1], [0, 0, 0], [1, 0, 2]])
     with pytest.raises(ValueError):
-        normalize_cusp_basis(qprime2, 2)
+        normalize_cusp_basis(qprime2)
+    # not square, or too small to hold a nonempty B
+    for rows in ([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+                 [[0, 0, 1], [0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                 [[0, 1], [1, 0]], [[1]]):
+        with pytest.raises(ValueError):
+            normalize_cusp_basis(QMatrix.from_rows(-5, rows))
+
+
+@pytest.mark.parametrize("d_tag, size", ((-5, 2), (-7, 3), (-6, 4)))
+def test_frame_reads_n_and_d_from_b_and_compares_by_a_and_b(d_tag, size):
+    frame = cusp.random_frame(random.Random(size), d_tag, size)
+    assert (frame.n, frame.d) == (frame.b_mat.rows + 1, frame.b_mat.d) == (size, d_tag)
+    twin = CuspFrame(QElem(d_tag, frame.a.re, frame.a.rt),
+                     QMatrix.from_rows(d_tag, frame.b_mat.to_rows()))
+    assert twin == frame and hash(twin) == hash(frame)
+    assert CuspFrame(frame.a * 2, frame.b_mat) != frame
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +297,7 @@ def test_q_matrix_and_from_blocks_equal_the_checked_assembly(d_tag):
         for _ in range(4):
             frame = cusp.random_frame(rng, d_tag, n)
             if rng.random() < 0.5:  # denominators of a and B that differ
-                frame = CuspFrame(n, d_tag, frame.a * F(rng.randint(1, 9), rng.randint(1, 9)),
+                frame = CuspFrame(frame.a * F(rng.randint(1, 9), rng.randint(1, 9)),
                                   frame.b_mat.scale(F(rng.randint(1, 9), rng.randint(1, 9))))
             q, want = frame.q_matrix(), _checked_q_matrix(frame)
             assert q == want and hash(q) == hash(want)
@@ -306,11 +329,11 @@ def test_q_matrix_and_from_blocks_equal_the_checked_assembly(d_tag):
 def test_q_matrix_is_kept_by_the_frame_without_changing_its_value():
     rng = random.Random(1801)
     frame = cusp.random_frame(rng, -7, 3)
-    twin = CuspFrame(frame.n, frame.d, frame.a, frame.b_mat)
+    twin = CuspFrame(frame.a, frame.b_mat)
     q = frame.q_matrix()
     assert frame == twin and hash(frame) == hash(twin)
     assert twin.q_matrix() == q and twin.q_matrix() is not q
-    assert [f.name for f in dataclasses.fields(CuspFrame)] == ["n", "d", "a", "b_mat"]
+    assert [f.name for f in dataclasses.fields(CuspFrame)] == ["a", "b_mat"]
 
 
 def test_product_slices_follow_the_block_formulas():
@@ -426,34 +449,14 @@ def test_nf_group_laws():
 # ---------------------------------------------------------------------------
 # the integral lattice generator
 
-def _lcm_fractions(a, b):
-    return F(lcm(a.numerator, b.numerator), gcd(a.denominator, b.denominator))
-
-
-def brute_sigma(a, d_tag, bound=200000):
-    """Scan a sound grid for the least positive x with x*a*sqrt(D) integral."""
-    step = None
-    for c in (2 * a.re, 2 * a.rt * d_tag):
-        if c == 0:
-            continue
-        g = F(c.denominator, abs(c.numerator))
-        step = g if step is None else _lcm_fractions(step, g)
-    root = QElem.sqrt_d(d_tag)
-    for m in range(1, bound + 1):
-        x = m * step
-        if in_ring_of_integers(a * root * QElem.of(d_tag, x)):
-            return x
-    raise AssertionError("scan exhausted")
-
-
 def test_uf_lattice_generator_examples():
-    assert uf_lattice_generator(QElem.of(-5, 1), -5) == 1
-    assert brute_sigma(QElem.of(-5, 1), -5) == 1
-    assert uf_lattice_generator(QElem.of(-5, 0, 1), -5) == F(1, 5)
-    assert brute_sigma(QElem.of(-5, 0, 1), -5) == F(1, 5)
+    assert uf_lattice_generator(QElem.of(-5, 1)) == 1
+    assert certificates._brute_sigma(QElem.of(-5, 1)) == 1
+    assert uf_lattice_generator(QElem.of(-5, 0, 1)) == F(1, 5)
+    assert certificates._brute_sigma(QElem.of(-5, 0, 1)) == F(1, 5)
     # closed formula for e = p/q, f = r/s, both nonzero, D = 2,3 mod 4
     a = QElem.of(-5, F(1, 2), F(1, 3))
-    assert uf_lattice_generator(a, -5) == 6 == brute_sigma(a, -5)
+    assert uf_lattice_generator(a) == 6 == certificates._brute_sigma(a)
 
 
 def test_uf_lattice_generator_against_scan():
@@ -464,7 +467,7 @@ def test_uf_lattice_generator_against_scan():
         for _ in range(10):
             cases.append(cusp.random_qelem(rng, d_tag, 4, 4, nonzero=True))
         for a in cases:
-            assert uf_lattice_generator(a, d_tag) == brute_sigma(a, d_tag), (a, d_tag)
+            assert uf_lattice_generator(a) == certificates._brute_sigma(a), (a, d_tag)
 
 
 def test_uf_lattice_lcm_formula():
@@ -480,7 +483,7 @@ def test_uf_lattice_lcm_formula():
             r, s = abs(f.numerator), f.denominator
             formula = F((s * p * r * dprime * q) // gcd(s * p, r * dprime * q),
                         r * dprime * p)
-            assert uf_lattice_generator(QElem.of(d_tag, e, f), d_tag) == formula
+            assert uf_lattice_generator(QElem.of(d_tag, e, f)) == formula
 
 
 def _lattice_generator_by_fractions(a, d_tag):
@@ -494,7 +497,7 @@ def _lattice_generator_by_fractions(a, d_tag):
         if c == 0:
             continue
         g = F(c.denominator, abs(c.numerator))
-        gen = g if gen is None else _lcm_fractions(gen, g)
+        gen = g if gen is None else certificates._lcm_fractions(gen, g)
     return gen
 
 
@@ -505,23 +508,51 @@ def test_uf_lattice_generator_equals_the_fraction_formula_on_a_grid():
             for f in values:
                 if e == f == 0:
                     continue
-                got = uf_lattice_generator(QElem(d_tag, e, f), d_tag)
+                got = uf_lattice_generator(QElem(d_tag, e, f))
                 assert got == _lattice_generator_by_fractions(QElem(d_tag, e, f), d_tag)
                 assert isinstance(got, F) and got > 0, (d_tag, e, f)
 
 
 def test_uf_translation_integrality():
-    frame = CuspFrame(3, -5, QElem.of(-5, 1, 1), QMatrix.from_rows(-5, [[1, 0], [0, 1]]))
-    x0 = uf_lattice_generator(frame.a, -5)
+    frame = CuspFrame(QElem.of(-5, 1, 1), QMatrix.from_rows(-5, [[1, 0], [0, 1]]))
+    x0 = frame.sigma_gen
     u = uf_translation(frame, x0)
     assert in_ring_of_integers(u.w)
-    assert cusp.in_sigma_lattice(u.w, frame, x0)
-    assert not cusp.in_sigma_lattice(uf_translation(frame, x0 / 2).w, frame, x0)
+    assert cusp.in_sigma_lattice(u.w, frame)
+    assert not cusp.in_sigma_lattice(uf_translation(frame, x0 / 2).w, frame)
 
 
 def test_uf_lattice_generator_zero_error():
     with pytest.raises(ValueError):
-        uf_lattice_generator(QElem.zero(-5), -5)
+        uf_lattice_generator(QElem.zero(-5))
+
+
+@pytest.mark.parametrize("d_tag", (-5, -6, -7, -15))
+def test_sigma_gen_of_a_frame_matches_the_scan(d_tag):
+    rng = random.Random(1900 - d_tag)
+    for n in (2, 3, 3, 4):
+        frame = cusp.random_frame(rng, d_tag, n)
+        assert frame.sigma_gen == certificates._brute_sigma(frame.a)
+        assert frame.sigma_gen is frame.sigma_gen
+
+
+def test_the_claims_compute_a_lattice_generator_once_per_order2_frame(monkeypatch):
+    """sigma_gen is computed on first use only: never by the frames of
+    cusp_suite, and once for each 2-torsion instance and its six checks."""
+    calls = []
+    original = cusp.uf_lattice_generator
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(cusp, "uf_lattice_generator", counted)
+    assert certificates.verify_claim("cusp_suite", d_range=(5, 6)).passed()
+    assert calls == []
+    cert = certificates.verify_claim("boundary_order2", d_range=(5, 6))
+    assert cert.passed()
+    elements = next(row["value"] for row in cert.computed if row["label"] == "elements")
+    assert len(calls) == elements
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +611,12 @@ def test_action_composition():
 # tangent exponents and congruences
 
 def test_tangent_exponents_central_translation():
-    frame = CuspFrame(3, -5, QElem.of(-5, 1, 1),
+    frame = CuspFrame(QElem.of(-5, 1, 1),
                       QMatrix.from_rows(-5, [[1, 0], [0, 1]]))
-    x0 = uf_lattice_generator(frame.a, -5)
+    x0 = frame.sigma_gen
     u = uf_translation(frame, 2 * x0)
     w0 = QMatrix.zero(-5, 2, 1)
-    es = boundary_tangent_exponents(u, w0, frame, x0)
+    es = boundary_tangent_exponents(u, w0, frame)
     assert set(es.exponents) == {0}
     assert reid_tai_sum(es) == 0
 
@@ -598,12 +629,12 @@ def test_tangent_exponents_order2():
         d_tag = rng.choice(FIELDS)
         frame = cusp.random_frame(rng, d_tag, rng.choice((2, 3, 4)))
         inst = cusp.random_order2_element(rng, frame)
-        g, w0, x0 = inst.element, inst.fixed_point, inst.sigma_gen
+        g, w0 = inst.element, inst.fixed_point
         gsq = g.compose(g)
         assert is_in_UF(gsq, frame)
-        assert cusp.in_sigma_lattice(gsq.w, frame, x0)
-        assert check_qr_congruences(g, frame, x0)
-        es = boundary_tangent_exponents(g, w0, frame, x0)
+        assert cusp.in_sigma_lattice(gsq.w, frame)
+        assert check_qr_congruences(g, frame)
+        es = boundary_tangent_exponents(g, w0, frame)
         assert all(F(a, es.order) in (F(0), F(1, 2)) for a in es.exponents)
         if any(2 * a == es.order for a in es.exponents):
             seen_half = True
@@ -615,50 +646,48 @@ def test_tangent_exponents_order2():
 
 
 def test_tangent_exponents_errors_and_fractional_shift():
-    frame = CuspFrame(3, -5, QElem.of(-5, 1, 1),
+    frame = CuspFrame(QElem.of(-5, 1, 1),
                       QMatrix.from_rows(-5, [[1, 0], [0, 1]]))
-    x0 = uf_lattice_generator(frame.a, -5)
+    x0 = frame.sigma_gen
     w0 = QMatrix.zero(-5, 2, 1)
     # a real-direction shift breaks the stabiliser relations outright
     e = identity_element(frame)
     bad = BoundaryElement.from_blocks(e.u, e.v, QElem.one(-5), e.x_mat, e.y, e.z)
     assert not is_in_NF(bad, frame)
     with pytest.raises(ValueError):
-        boundary_tangent_exponents(bad, w0, frame, x0)
+        boundary_tangent_exponents(bad, w0, frame)
     # an element that does not fix the point is rejected
     u = uf_translation(frame, x0)
     rng = random.Random(99)
     g = cusp.random_nf_element(rng, frame)
     assert not fixes_boundary_point(g, w0)
     with pytest.raises(ValueError, match="does not fix"):
-        boundary_tangent_exponents(g, w0, frame, x0)
+        boundary_tangent_exponents(g, w0, frame)
     # a fractional central translation is torsion with denominator order
     u7 = uf_translation(frame, x0 / 7)
-    es = boundary_tangent_exponents(u7, w0, frame, x0)
+    es = boundary_tangent_exponents(u7, w0, frame)
     assert es.order == 7 and sorted(set(es.exponents)) == [0, 1]
 
 
 def test_check_qr_congruences_cases():
     rng = random.Random(13)
     frame = cusp.random_frame(rng, -5, 3)
-    x0 = uf_lattice_generator(frame.a, -5)
     e = identity_element(frame)
-    assert check_qr_congruences(e, frame, x0)
+    assert check_qr_congruences(e, frame)
     inst = cusp.random_order2_element(rng, frame)
-    assert check_qr_congruences(inst.element, frame, x0)
+    assert check_qr_congruences(inst.element, frame)
     # an element whose X is an involution but y sits outside ker(I + X)
     vecs = cusp.random_b_reflection_vectors(rng, frame, 1)
     x_mat = cusp.involution_from_vectors(frame, vecs)
     y = cusp.random_vector(rng, -5, 2, max_num=2, max_den=1)
     if (x_mat @ y + y) != QMatrix.zero(-5, 2, 1):
         g = cusp.nf_element(frame, x_mat, y, QElem.one(-5), F(0))
-        assert check_qr_congruences(g, frame, x0) is False
+        assert check_qr_congruences(g, frame) is False
 
 
 def test_check_qr_congruences_precondition():
     rng = random.Random(14)
     frame = cusp.random_frame(rng, -5, 3)
-    x0 = uf_lattice_generator(frame.a, -5)
     # order-4 rotation: not 2-torsion mod centre
     while True:
         x_mat = cusp.random_b_unitary(rng, frame)
@@ -666,7 +695,7 @@ def test_check_qr_congruences_precondition():
             break
     g = cusp.nf_element(frame, x_mat, QMatrix.zero(-5, 2, 1), QElem.one(-5), F(0))
     with pytest.raises(ValueError):
-        check_qr_congruences(g, frame, x0)
+        check_qr_congruences(g, frame)
 
 
 def test_boundary_divisor_trivial_excluded():

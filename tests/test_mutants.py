@@ -1,5 +1,7 @@
 """The mutant list of ``mutants.py`` against the tree it describes."""
 
+import ast
+
 import pytest
 
 from mutants import MUTANTS, ROOT
@@ -8,3 +10,21 @@ from mutants import MUTANTS, ROOT
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.id for m in MUTANTS])
 def test_each_mutant_text_occurs_exactly_once(mutant):
     assert (ROOT / mutant.file).read_text().count(mutant.old) == 1
+
+
+def _top_level_tests(test_file):
+    tree = ast.parse((ROOT / test_file).read_text(), filename=test_file)
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+
+
+def test_mutant_ids_are_unique_and_each_catching_test_exists():
+    ids = [m.id for m in MUTANTS]
+    assert len(set(ids)) == len(ids)
+    missing = []
+    for mutant in MUTANTS:
+        for test_id in mutant.caught_by:
+            test_file, name = test_id.split("::")
+            if name.split("[")[0] not in _top_level_tests(test_file):
+                missing.append((mutant.id, test_id))
+    assert missing == []
