@@ -26,7 +26,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import cusp, reidtai, tables
 from .cyclo import euler_phi
-from .qfield import QElem, QMatrix, fmt_rational, in_ring_of_integers, is_squarefree
+from .qfield import (QElem, QMatrix, _elem, fmt_rational, in_ring_of_integers,
+                     is_squarefree)
 from .reidtai import (CASE_FAMILIES, DIMENSION_COEFF, EigenSystem,
                       c_min_red_with_witness, case_analysis,
                       enumerate_exceptional_orders, enumerate_small_d,
@@ -338,24 +339,26 @@ def _claim_cusp_suite(cfg: RunConfig) -> Computed:
     return checks.computed(cfg, fields=fields, frames_per_field=FRAMES_PER_FIELD)
 
 
-def _lcm_fractions(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(lcm(a.numerator, b.numerator), gcd(a.denominator, b.denominator))
-
-
 def _brute_sigma(a: QElem) -> Fraction:
     """Independent oracle: scan a sound grid for the least x > 0 with
-    x*a*sqrt(D) integral, testing ring membership directly."""
-    d_tag, step = a.d, None
-    for c in (2 * a.re, 2 * a.rt * d_tag):
-        if c == 0:
-            continue
-        g = Fraction(c.denominator, abs(c.numerator))
-        step = g if step is None else _lcm_fractions(step, g)
-    a_sqrt_d = a * QElem.sqrt_d(d_tag)
-    for m in range(1, 10 ** 6 + 1):
-        x = m * step
-        if in_ring_of_integers(a_sqrt_d * x):
-            return x
+    x*a*sqrt(D) integral, testing ring membership directly.
+
+    The grid is unchanged from the Fraction scan kept in
+    tests/reference_kernel.py and is now computed on the integers of
+    a = (a.a + a.b*sqrt(D)) / den.  Each nonzero c of 2*a.a and 2*a.b*D
+    asks that x*c/den be an integer, which holds on the multiples of
+    (den/g) / (|c|/g), g = gcd(c, den); the step sn/sd is the lcm of those
+    numerators over the gcd of those denominators.  At a grid point
+    x = m/sd, x*a*sqrt(D) = (a.b*D*m + a.a*m*sqrt(D)) / (den*sd)."""
+    d_tag, den = a.d, a.den
+    sn, sd = 1, 0
+    for c in (2 * a.a, 2 * a.b * d_tag):
+        if c:
+            g = gcd(c, den)
+            sn, sd = lcm(sn, den // g), gcd(sd, abs(c) // g)
+    for m in range(sn, (10 ** 6 + 1) * sn, sn):
+        if in_ring_of_integers(_elem(d_tag, den * sd, a.b * d_tag * m, a.a * m)):
+            return Fraction(m, sd)
     raise AssertionError("oracle scan exhausted")
 
 

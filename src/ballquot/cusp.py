@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .eigen import eigen_exponents
-from .qfield import QElem, QMatrix, _elem, _mat, block_matrix, check_field_tag
+from .qfield import (FieldTagError, QElem, QMatrix, _elem, _identity, _mat,
+                     block_matrix, check_field_tag)
 from .reidtai import EigenSystem
 
 
@@ -72,14 +74,30 @@ class CuspFrame:
         return _mat(self.d, size, size, den, re, rt)
 
     def inner(self, x: QMatrix, y: QMatrix) -> QElem:
-        """The B-inner product x^H B y of two column vectors."""
-        return (x.h @ self.b_mat @ y).scalar()
+        """The B-inner product x^H B y of two column vectors: after the one
+        product B y, the sum of conj(x_i) (B y)_i is taken on the integer
+        numerators, with no adjoint of x built."""
+        if x.d != self.d:
+            raise FieldTagError("mixed field tags in the inner product")
+        by = self.b_mat @ y
+        if x.cols != 1 or by.cols != 1 or x.rows != by.rows:
+            raise ValueError("the inner product takes two columns of B's size")
+        xr, xt, br, bt = x.re, x.rt, by.re, by.rt
+        # conj(x_i) (B y)_i = (xr - xt sqrt(D)) (br + bt sqrt(D))
+        return _elem(self.d, x.den * by.den,
+                     sum(map(mul, xr, br)) - self.d * sum(map(mul, xt, bt)),
+                     sum(map(mul, xr, bt)) - sum(map(mul, xt, br)))
 
     @cached_property
     def sigma_gen(self) -> Fraction:
         """The generator x0 of the integral lattice in the centre, computed
         from a on first use and kept."""
         return uf_lattice_generator(self.a)
+
+    @cached_property
+    def _b_inv(self) -> QMatrix:
+        """B^-1, computed on first use and kept with the frame."""
+        return self.b_mat.inverse()
 
 
 @dataclass(frozen=True)
@@ -226,7 +244,7 @@ def is_in_NF(g: BoundaryElement, frame: CuspFrame) -> bool:
     kept."""
     if g.size != frame.n + 1 or g.d != frame.d:
         raise ValueError("element size or field does not match the frame")
-    if g.z * g.u.conj() != QElem.one(frame.d):
+    if g.z * g.u.conj() != _elem(frame.d, 1, 1, 0):
         return False
     xhb = g.x_mat.h @ frame.b_mat
     if xhb @ g.x_mat != frame.b_mat:
@@ -240,9 +258,9 @@ def is_in_NF(g: BoundaryElement, frame: CuspFrame) -> bool:
 
 def is_in_WF(g: BoundaryElement, frame: CuspFrame) -> bool:
     """Unipotent radical: the part of N(F) with u = z = 1 and X = I."""
-    one = QElem.one(frame.d)
+    one = _elem(frame.d, 1, 1, 0)
     return (is_in_NF(g, frame) and g.u == one and g.z == one
-            and g.x_mat == QMatrix.identity(frame.d, frame.n - 1))
+            and g.x_mat == _identity(frame.d, frame.n - 1))
 
 
 def is_in_UF(g: BoundaryElement, frame: CuspFrame) -> bool:
@@ -282,7 +300,7 @@ def uf_lattice_generator(a: QElem) -> Fraction:
 def sigma_element(frame: CuspFrame, x0: Fraction) -> QElem:
     """x0 * a * sqrt(D) as a field element: the lattice period sigma when x0
     is the lattice generator."""
-    return frame.a * QElem.sqrt_d(frame.d) * x0
+    return frame.a * _elem(frame.d, 1, 0, 1) * x0
 
 
 def in_sigma_lattice(value: QElem, frame: CuspFrame) -> bool:
@@ -294,8 +312,9 @@ def in_sigma_lattice(value: QElem, frame: CuspFrame) -> bool:
 def uf_translation(frame: CuspFrame, x: Fraction) -> BoundaryElement:
     """The central element translating the torus coordinate by x*a*sqrt(D)."""
     d, m = frame.d, frame.n - 1
-    return nf_element(frame, QMatrix.identity(d, m), QMatrix.zero(d, m, 1),
-                      QElem.one(d), x)
+    zeros = (0,) * m
+    return nf_element(frame, _identity(d, m), _mat(d, m, 1, 1, zeros, zeros),
+                      _elem(d, 1, 1, 0), x)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +335,10 @@ def apply_boundary_action(g: BoundaryElement, pt: BoundaryPoint,
 
 def normalize_sign(g: BoundaryElement) -> BoundaryElement:
     """Replace g by -g when z = -1 (the overall sign acts trivially)."""
-    d = g.d
-    if g.z == QElem.one(d):
+    one = _elem(g.d, 1, 1, 0)
+    if g.z == one:
         return g
-    if g.z == -QElem.one(d):
+    if g.z == -one:
         return -g
     raise ValueError("scaling entry z must be a real unit +-1")
 
@@ -366,8 +385,7 @@ def check_qr_congruences(g: BoundaryElement, frame: CuspFrame) -> bool:
     if not is_in_NF(g, frame):
         raise ValueError("element is not in the cusp stabiliser")
     g = normalize_sign(g)
-    ident = QMatrix.identity(g.d, frame.n - 1)
-    if g.x_mat @ g.x_mat != ident:
+    if g.x_mat @ g.x_mat != _identity(g.d, frame.n - 1):
         raise ValueError("square of the element is not unipotent-central")
     rel1 = (g.v + g.v @ g.x_mat).is_zero
     rel2 = (g.x_mat @ g.y + g.y).is_zero
@@ -385,7 +403,7 @@ def boundary_divisor_fixed(g: BoundaryElement, frame: CuspFrame) -> bool:
     if not is_in_NF(g, frame):
         raise ValueError("element is not in the cusp stabiliser")
     g = normalize_sign(g)
-    fixed = g.x_mat == QMatrix.identity(g.d, frame.n - 1) and g.y.is_zero
+    fixed = g.x_mat == _identity(g.d, frame.n - 1) and g.y.is_zero
     if fixed and g.v.is_zero:
         raise ValueError("element is trivial modulo the centre")
     return fixed
@@ -412,7 +430,14 @@ def random_qelem(rng, d_tag: int, max_num: int = 4, max_den: int = 3,
 
 
 def random_vector(rng, d_tag: int, m: int, **kw) -> QMatrix:
-    return QMatrix.column(d_tag, [random_qelem(rng, d_tag, **kw) for _ in range(m)])
+    """A column of m random_qelem draws, taken in order and assembled on
+    their integers; random_qelem checks the tag."""
+    if m < 1:
+        raise ValueError("matrix dimensions must be positive")
+    ents = [random_qelem(rng, d_tag, **kw) for _ in range(m)]
+    den = lcm(*[e.den for e in ents])
+    return _mat(d_tag, m, 1, den, [e.a * (den // e.den) for e in ents],
+                [e.b * (den // e.den) for e in ents])
 
 
 def random_frame(rng, d_tag: int, n: int) -> CuspFrame:
@@ -433,7 +458,7 @@ def random_frame(rng, d_tag: int, n: int) -> CuspFrame:
 def random_b_unitary(rng, frame: CuspFrame) -> QMatrix:
     """Exact isometry of B via the Cayley transform of a B-skew matrix."""
     d, m = frame.d, frame.n - 1
-    ident = QMatrix.identity(d, m)
+    ident = _identity(d, m)
     while True:
         ents = [[QElem.zero(d)] * m for _ in range(m)]
         for i in range(m):
@@ -443,7 +468,7 @@ def random_b_unitary(rng, frame: CuspFrame) -> QMatrix:
                 ents[i][j] = x
                 ents[j][i] = -x.conj()
         k = QMatrix.from_rows(d, ents)  # skew-hermitian
-        s = frame.b_mat.inverse() @ k
+        s = frame._b_inv @ k
         try:
             x_mat = (ident - s) @ (ident + s).inverse()
         except ZeroDivisionError:
@@ -472,10 +497,10 @@ def random_b_reflection_vectors(rng, frame: CuspFrame, count: int):
 
 def involution_from_vectors(frame: CuspFrame, vecs) -> QMatrix:
     """Product of B-reflections in mutually B-orthogonal vectors."""
-    d, m = frame.d, frame.n - 1
-    x_mat = QMatrix.identity(d, m)
+    ident = _identity(frame.d, frame.n - 1)
+    x_mat = ident
     for c in vecs:
-        refl = QMatrix.identity(d, m) - (c @ (c.h @ frame.b_mat)).scale(
+        refl = ident - (c @ (c.h @ frame.b_mat)).scale(
             2 * frame.inner(c, c).inverse())
         x_mat = x_mat @ refl
     return x_mat
@@ -485,10 +510,10 @@ def nf_element(frame: CuspFrame, x_mat: QMatrix, y: QMatrix, z: QElem,
                w_shift: Fraction) -> BoundaryElement:
     """Assemble the stabiliser element with the given unitary part, column y
     and torus parameter, solving the two remaining relations exactly."""
-    a = frame.a
-    v = -(y.h @ frame.b_mat @ x_mat).scale((z.conj() * a.conj()).inverse())
-    w = frame.inner(y, y) * Fraction(-1, 2) \
-        * (z.conj() * a.conj()).inverse() + z * sigma_element(frame, w_shift)
+    yhb = y.h @ frame.b_mat
+    k = (z.conj() * frame.a.conj()).inverse()
+    v = -(yhb @ x_mat).scale(k)
+    w = (yhb @ y).scalar() * Fraction(-1, 2) * k + z * sigma_element(frame, w_shift)
     u = z.conj().inverse()
     return BoundaryElement.from_blocks(u, v, w, x_mat, y, z)
 
@@ -501,9 +526,9 @@ def random_nf_element(rng, frame: CuspFrame) -> BoundaryElement:
 
 
 def random_wf_element(rng, frame: CuspFrame) -> BoundaryElement:
-    ident = QMatrix.identity(frame.d, frame.n - 1)
+    ident = _identity(frame.d, frame.n - 1)
     y = random_vector(rng, frame.d, frame.n - 1, max_num=2, max_den=2)
-    return nf_element(frame, ident, y, QElem.one(frame.d),
+    return nf_element(frame, ident, y, _elem(frame.d, 1, 1, 0),
                       random_rational(rng, 3, 2))
 
 
@@ -534,11 +559,12 @@ def random_order2_element(rng, frame: CuspFrame) -> Order2Instance:
     vecs = random_b_reflection_vectors(rng, frame, k)
     x_mat = involution_from_vectors(frame, vecs)
     lam = [random_rational(rng, 2, 2) for _ in range(k)]
-    y = QMatrix.zero(d, m, 1)
+    zeros = (0,) * m
+    y = _mat(d, m, 1, 1, zeros, zeros)
     for coeff, c in zip(lam, vecs):
         y = y + c.scale(QElem.of(d, coeff))
     j = rng.randint(-3, 3)
-    g = nf_element(frame, x_mat, y, QElem.one(d), Fraction(j, 2) * x0)
+    g = nf_element(frame, x_mat, y, _elem(d, 1, 1, 0), Fraction(j, 2) * x0)
     # fixed point: w0 = y/2 plus anything B-orthogonal to the reflection span
     w0 = y.scale(QElem.of(d, Fraction(1, 2))) + _b_orthogonalize(
         frame, vecs, random_vector(rng, d, m, max_num=2, max_den=1))

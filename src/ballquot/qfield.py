@@ -26,7 +26,8 @@ for a scalar and ``_mat`` for a matrix, which reduce by the gcd and check
 nothing else.  The constants check their tag once and build through
 ``_elem``; ``block_matrix`` checks the tag, the blocks' tags and the tiling
 once, copies the integers of its blocks, which are checked values already,
-and builds the result through ``_mat``.
+and builds the result through ``_mat``.  ``_identity`` is the identity
+built through ``_mat``, for callers whose tag was checked before.
 """
 
 from __future__ import annotations
@@ -341,6 +342,8 @@ class QMatrix:
     @classmethod
     def from_rows(cls, d: int, rows: Sequence[Sequence]) -> "QMatrix":
         nr = len(rows)
+        if nr == 0:
+            raise ValueError("matrix dimensions must be positive")
         nc = len(rows[0])
         ents = []
         for row in rows:
@@ -548,6 +551,13 @@ def _mat(d: int, rows: int, cols: int, den: int, re, rt) -> QMatrix:
     m = _new(QMatrix)
     m.__dict__.update(d=d, rows=rows, cols=cols, den=den, re=tuple(re), rt=tuple(rt))
     return m
+
+
+def _identity(d: int, n: int) -> QMatrix:
+    """The n x n identity for a tag already checked and n > 0, as
+    ``QMatrix.identity`` builds it but through ``_mat``."""
+    return _mat(d, n, n, 1, [int(i == j) for i in range(n) for j in range(n)],
+                [0] * (n * n))
 
 
 def block_matrix(d: int, blocks: Iterable[Iterable]) -> QMatrix:

@@ -215,15 +215,15 @@ MUTANTS: Tuple[Mutant, ...] = (
             "tests/test_cusp.py::test_nf_group_laws",
             "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
     Mutant("wf_skips_x_check", CUSP,
-           "and g.z == one\n            and g.x_mat == QMatrix.identity(frame.d, frame.n - 1))\n",
+           "and g.z == one\n            and g.x_mat == _identity(frame.d, frame.n - 1))\n",
            "and g.z == one)\n",
            ("tests/test_cusp.py::test_wf_construction_and_shape",
             "tests/test_cusp.py::test_is_in_wf_agrees_with_nf_at_unit_torus")),
     Mutant("wf_tests_blocks_before_nf", CUSP,
            "    return (is_in_NF(g, frame) and g.u == one and g.z == one\n"
-           "            and g.x_mat == QMatrix.identity(frame.d, frame.n - 1))\n",
+           "            and g.x_mat == _identity(frame.d, frame.n - 1))\n",
            "    return (g.u == one and g.z == one\n"
-           "            and g.x_mat == QMatrix.identity(frame.d, frame.n - 1)\n"
+           "            and g.x_mat == _identity(frame.d, frame.n - 1)\n"
            "            and is_in_NF(g, frame))\n",
            ("tests/test_cusp.py::test_memberships_refuse_an_element_of_another_size_or_field",)),
     Mutant("triangularity_skips_last_bottom_entry", CUSP,
@@ -294,6 +294,39 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    check_field_tag(d_tag)\n    while True:\n",
            "    while True:\n",
            ("tests/test_cusp.py::test_random_qelem_refuses_a_bad_tag",)),
+    Mutant("inner_unconjugated", CUSP,
+           "sum(map(mul, xr, br)) - self.d * sum(map(mul, xt, bt))",
+           "sum(map(mul, xr, br)) + self.d * sum(map(mul, xt, bt))",
+           ("tests/test_cusp.py::test_inner_equals_the_adjoint_product",
+            "tests/test_cusp.py::test_is_in_nf_agrees_with_form_preservation",
+            "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
+    Mutant("b_inverse_is_b", CUSP,
+           "        return self.b_mat.inverse()\n",
+           "        return self.b_mat\n",
+           ("tests/test_cusp.py::test_b_inverse_is_computed_once_per_frame_and_is_no_field",
+            "tests/test_cusp.py::test_nf_group_laws",
+            "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
+    # predicates that answer True to every element they get past a guard
+    Mutant("nf_member_after_guard", CUSP,
+           "        raise ValueError(\"element size or field does not match the frame\")\n",
+           "        raise ValueError(\"element size or field does not match the frame\")\n"
+           "    return True\n",
+           ("tests/test_cusp.py::test_is_in_nf_agrees_with_form_preservation",
+            "tests/test_cusp.py::test_not_in_nf_when_scaling_breaks",
+            "tests/test_cusp.py::test_action_errors")),
+    Mutant("uf_member_always", CUSP,
+           "    return is_in_WF(g, frame) and g.v.is_zero and g.y.is_zero\n",
+           "    return True\n",
+           ("tests/test_cusp.py::test_uf_membership_examples",
+            "tests/test_cusp.py::test_memberships_refuse_an_element_of_another_size_or_field")),
+    Mutant("sigma_lattice_member_always", CUSP,
+           "    return q.rt == 0 and q.re.denominator == 1\n",
+           "    return True\n",
+           ("tests/test_cusp.py::test_uf_translation_integrality",)),
+    Mutant("qr_congruences_always_hold", CUSP,
+           "    return rel1 and rel2 and rel3\n",
+           "    return True\n",
+           ("tests/test_cusp.py::test_check_qr_congruences_cases",)),
     # -- certificates
     Mutant("checks_note_drops_where", CERTIFICATES,
            "            self.failures.append(where)\n",
@@ -301,6 +334,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_certificates.py::test_cusp_suite_lists_each_failed_check",
             "tests/test_certificates.py::test_boundary_order2_lists_each_failed_check",
             "tests/test_certificates.py::test_sigma_sweeps_list_each_failed_case")),
+    Mutant("sigma_step_from_one_coefficient", CERTIFICATES,
+           "    for c in (2 * a.a, 2 * a.b * d_tag):\n",
+           "    for c in (2 * a.a,):\n",
+           ("tests/test_cusp.py::test_integer_sigma_scan_equals_the_fraction_scan",
+            "tests/test_cusp.py::test_uf_lattice_generator_examples",
+            "tests/test_acceptance.py::test_criterion_08_sigma_oracle")),
 )
 
 

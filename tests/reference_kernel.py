@@ -14,11 +14,16 @@ against them entry by entry.
 Block assembly: ``checked_block_matrix`` builds what ``block_matrix`` builds
 through the public checks alone, each scalar block wrapped in a checked 1x1
 ``QMatrix`` and the result rebuilt by ``QMatrix(...)``.
+
+The lattice scan: ``brute_sigma`` is the scan of the ``sigma_oracle`` claim
+in ``Fraction`` arithmetic, its grid step built from the coordinates of a
+and each grid point tested as a ``QElem`` times a ``Fraction``.
 """
 
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 
-from ballquot.qfield import FieldTagError, QElem, QMatrix
+from ballquot.qfield import FieldTagError, QElem, QMatrix, in_ring_of_integers
 
 
 def elem_add(d, x, y):
@@ -152,3 +157,23 @@ def checked_block_matrix(d, blocks) -> QMatrix:
         raise ValueError("inconsistent block widths")
     width = widths.pop()
     return QMatrix(d, len(re) // width, width, den, re, rt)
+
+
+def lcm_fractions(a: Fraction, b: Fraction) -> Fraction:
+    return Fraction(lcm(a.numerator, b.numerator), gcd(a.denominator, b.denominator))
+
+
+def brute_sigma(a: QElem) -> Fraction:
+    """The least x > 0 on a sound grid with x*a*sqrt(D) integral."""
+    d_tag, step = a.d, None
+    for c in (2 * a.re, 2 * a.rt * d_tag):
+        if c == 0:
+            continue
+        g = Fraction(c.denominator, abs(c.numerator))
+        step = g if step is None else lcm_fractions(step, g)
+    a_sqrt_d = a * QElem.sqrt_d(d_tag)
+    for m in range(1, 10 ** 6 + 1):
+        x = m * step
+        if in_ring_of_integers(a_sqrt_d * x):
+            return x
+    raise AssertionError("oracle scan exhausted")

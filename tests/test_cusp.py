@@ -1,18 +1,20 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
 import reference_kernel as ref
-from ballquot import certificates, cusp
+from ballquot import certificates, cusp, qfield
 from ballquot.cusp import (BoundaryElement, BoundaryPoint, CuspFrame,
                            apply_boundary_action, boundary_divisor_fixed,
                            boundary_tangent_exponents, check_qr_congruences,
                            fixes_boundary_point,
-                           is_in_NF, is_in_UF, is_in_WF, normalize_cusp_basis,
-                           sigma_element, uf_lattice_generator, uf_translation)
+                           in_sigma_lattice, is_in_NF, is_in_UF, is_in_WF,
+                           nf_element, normalize_cusp_basis, sigma_element,
+                           uf_lattice_generator, uf_translation)
 from ballquot.qfield import FieldTagError, QElem, QMatrix, in_ring_of_integers
 from ballquot.reidtai import is_quasi_reflection, reid_tai_sum
 
@@ -109,6 +111,57 @@ def test_frame_reads_n_and_d_from_b_and_compares_by_a_and_b(d_tag, size):
                      QMatrix.from_rows(d_tag, frame.b_mat.to_rows()))
     assert twin == frame and hash(twin) == hash(frame)
     assert CuspFrame(frame.a * 2, frame.b_mat) != frame
+
+
+def test_inner_equals_the_adjoint_product():
+    rng = random.Random(40)
+    for d_tag in (-5, -6, -7, -15):
+        for n in (2, 3, 4):
+            frame = cusp.random_frame(rng, d_tag, n)
+            x, y = (cusp.random_vector(rng, d_tag, n - 1) for _ in range(2))
+            for u, v in ((x, x), (y, y), (x, y), (y, x)):
+                want = (u.h @ frame.b_mat @ v).scalar()
+                got = frame.inner(u, v)
+                assert got == want and hash(got) == hash(want)
+            assert frame.inner(x, y) == frame.inner(y, x).conj()
+
+
+def test_inner_refuses_what_the_adjoint_product_refuses():
+    rng = random.Random(41)
+    frame = cusp.random_frame(rng, -5, 3)
+    col = cusp.random_vector(rng, -5, 2)
+    for x, y in ((QMatrix.identity(-5, 2), col), (col, QMatrix.identity(-5, 2)),
+                 (cusp.random_vector(rng, -5, 3), col),
+                 (col, cusp.random_vector(rng, -5, 3))):
+        with pytest.raises(ValueError):
+            (x.h @ frame.b_mat @ y).scalar()
+        with pytest.raises(ValueError):
+            frame.inner(x, y)
+    other = cusp.random_vector(rng, -7, 2)
+    for x, y in ((other, col), (col, other)):
+        with pytest.raises(FieldTagError):
+            frame.inner(x, y)
+
+
+def test_b_inverse_is_computed_once_per_frame_and_is_no_field(monkeypatch):
+    rng = random.Random(42)
+    frame = cusp.random_frame(rng, -7, 4)
+    inverted = []
+    original = QMatrix.inverse
+
+    def counted(m):
+        inverted.append(m)
+        return original(m)
+
+    monkeypatch.setattr(QMatrix, "inverse", counted)
+    for _ in range(3):
+        cusp.random_b_unitary(rng, frame)
+    assert sum(m is frame.b_mat for m in inverted) == 1
+    assert frame._b_inv == original(frame.b_mat)
+    assert frame._b_inv is frame._b_inv
+    assert "_b_inv" not in {f.name for f in dataclasses.fields(CuspFrame)}
+    twin = CuspFrame(frame.a, frame.b_mat)
+    assert twin == frame and hash(twin) == hash(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +499,61 @@ def test_nf_group_laws():
         assert u.compose(w) == w.compose(u)
 
 
+def test_the_cusp_hot_path_runs_no_public_check(monkeypatch):
+    """A guard: on prepared inputs, none of these calls builds through the
+    public QMatrix or QElem constructors or runs qfield's tag check, which
+    the public constants run too; nf_element checks the tag once, in
+    block_matrix.  The stabiliser memo is emptied before each call."""
+    rng = random.Random(43)
+    frame = cusp.random_frame(rng, -7, 4)
+    g = cusp.random_nf_element(rng, frame)
+    w = cusp.random_wf_element(rng, frame)
+    u = uf_translation(frame, 2 * frame.sigma_gen)
+    o2 = cusp.random_order2_element(rng, frame).element
+    x_mat = cusp.random_b_unitary(rng, frame)
+    y, y2 = (cusp.random_vector(rng, -7, 3) for _ in range(2))
+    one = QElem.one(-7)
+    calls = {
+        "is_in_NF": lambda: is_in_NF(g, frame),
+        "is_in_WF": lambda: is_in_WF(w, frame),
+        "is_in_UF": lambda: is_in_UF(u, frame),
+        "nf_element": lambda: nf_element(frame, x_mat, y, one, F(3, 2)),
+        "inner": lambda: frame.inner(y, y2),
+        "sigma_element": lambda: sigma_element(frame, frame.sigma_gen),
+        "in_sigma_lattice": lambda: in_sigma_lattice(u.w, frame),
+        "check_qr_congruences": lambda: check_qr_congruences(o2, frame),
+        "boundary_divisor_fixed": lambda: boundary_divisor_fixed(o2, frame),
+        "random_vector": lambda: cusp.random_vector(random.Random(0), -7, 3),
+    }
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(QMatrix, "__post_init__",
+                        counting("QMatrix", QMatrix.__post_init__))
+    monkeypatch.setattr(QElem, "__init__", counting("QElem", QElem.__init__))
+    monkeypatch.setattr(qfield, "check_field_tag",
+                        counting("check_field_tag", qfield.check_field_tag))
+    seen, results = {}, {}
+    for name, call in calls.items():
+        is_in_NF.cache_clear()
+        counts.clear()
+        results[name] = call()
+        seen[name] = dict(counts)
+    monkeypatch.undo()
+    want = {name: {} for name in calls}
+    want["nf_element"] = {"check_field_tag": 1}
+    assert seen == want
+    # every predicate ran to its end
+    assert [results[name] for name in ("is_in_NF", "is_in_WF", "is_in_UF",
+                                       "in_sigma_lattice", "check_qr_congruences",
+                                       "boundary_divisor_fixed")] == [True] * 5 + [False]
+
+
 # ---------------------------------------------------------------------------
 # the integral lattice generator
 
@@ -468,6 +576,21 @@ def test_uf_lattice_generator_against_scan():
             cases.append(cusp.random_qelem(rng, d_tag, 4, 4, nonzero=True))
         for a in cases:
             assert uf_lattice_generator(a) == certificates._brute_sigma(a), (a, d_tag)
+
+
+def test_integer_sigma_scan_equals_the_fraction_scan():
+    """The oracle's integer grid against the Fraction scan it replaced, on
+    both axes, with negative coordinates and denominators up to 10**6."""
+    rng = random.Random(44)
+    values = sorted({F(sign * p, q) for sign in (1, -1) for p in (1, 2, 3, 7, 12, 999)
+                     for q in (1, 2, 3, 4, 6, 9, 10, 1000, 999983, 10 ** 6)})
+    for d_tag in (-1, -2, -3, -5, -6, -7, -11, -15):
+        cases = [QElem(d_tag, v, 0) for v in values] + [QElem(d_tag, 0, v) for v in values]
+        cases += [QElem(d_tag, rng.choice(values), rng.choice(values)) for _ in range(100)]
+        for a in cases:
+            got = certificates._brute_sigma(a)
+            assert got == ref.brute_sigma(a) and isinstance(got, F), (d_tag, a)
+            assert got == uf_lattice_generator(a), (d_tag, a)
 
 
 def test_uf_lattice_lcm_formula():
@@ -497,7 +620,7 @@ def _lattice_generator_by_fractions(a, d_tag):
         if c == 0:
             continue
         g = F(c.denominator, abs(c.numerator))
-        gen = g if gen is None else certificates._lcm_fractions(gen, g)
+        gen = g if gen is None else ref.lcm_fractions(gen, g)
     return gen
 
 
@@ -729,6 +852,21 @@ def test_random_qelem_draws_what_the_fraction_construction_draws():
                 assert got == want and hash(got) == hash(want)
                 assert got.den > 0 and gcd(got.den, got.a, got.b) == 1
             assert got_rng.random() == want_rng.random()  # as many draws
+
+
+def test_random_vector_is_the_column_of_its_draws():
+    for d_tag in FIELDS:
+        for m, kw in ((1, {}), (3, {}), (4, {"max_num": 2, "max_den": 1}),
+                      (2, {"max_num": 6, "max_den": 5, "nonzero": True})):
+            got_rng, want_rng = random.Random(m - d_tag), random.Random(m - d_tag)
+            for _ in range(20):
+                got = cusp.random_vector(got_rng, d_tag, m, **kw)
+                want = QMatrix.column(
+                    d_tag, [cusp.random_qelem(want_rng, d_tag, **kw) for _ in range(m)])
+                assert got == want and hash(got) == hash(want)
+            assert got_rng.random() == want_rng.random()  # as many draws
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        cusp.random_vector(random.Random(0), -5, 0)
 
 
 @pytest.mark.parametrize("bad", (-4, -6.0, 5, F(-3)))

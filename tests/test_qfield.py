@@ -4,9 +4,9 @@ from math import isqrt
 
 import pytest
 
-from ballquot.qfield import (FieldTagError, QElem, QMatrix, block_matrix,
-                             fmt_rational, frac, in_ring_of_integers,
-                             is_squarefree)
+from ballquot.qfield import (FieldTagError, QElem, QMatrix, _elem, _identity,
+                             _mat, block_matrix, fmt_rational, frac,
+                             in_ring_of_integers, is_squarefree)
 
 FIELDS = (-1, -2, -3, -5, -6, -7, -11, -15)
 
@@ -113,6 +113,25 @@ def test_constants_equal_the_checked_construction():
             want = QElem(d, *coords)
             assert got == want and hash(got) == hash(want)
             assert (got.d, got.den, got.a, got.b) == (d, 1, *coords)
+
+
+def test_trusted_constants_equal_and_hash_like_the_public_constructors():
+    for d in FIELDS:
+        pairs = [(_elem(d, 1, 1, 0), QElem.one(d)), (_elem(d, 1, 0, 1), QElem.sqrt_d(d))]
+        for n in (1, 2, 3, 4):
+            zeros = (0,) * n
+            pairs += [(_identity(d, n), QMatrix.identity(d, n)),
+                      (_mat(d, n, 1, 1, zeros, zeros), QMatrix.zero(d, n, 1))]
+        for got, want in pairs:
+            assert got == want and hash(got) == hash(want)
+
+
+def test_every_empty_shape_is_refused_alike():
+    for build in (lambda: QMatrix.from_rows(-5, []), lambda: QMatrix.column(-5, []),
+                  lambda: QMatrix.from_rows(-5, [[]]), lambda: QMatrix.identity(-5, 0),
+                  lambda: QMatrix.zero(-5, 2, 0), lambda: QMatrix(-5, 0, 1, 1, (), ())):
+        with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+            build()
 
 
 # ---------------------------------------------------------------------------
