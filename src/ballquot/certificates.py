@@ -317,8 +317,10 @@ def _claim_cusp_suite(cfg: RunConfig) -> Computed:
             note(cusp.is_in_NF(g1, frame) and cusp.is_in_NF(g2, frame),
                  check="membership of constructed elements")
             note(cusp.is_in_NF(g1.compose(g2), frame), check="closure under product")
-            note(cusp.is_in_NF(g1.inverse(), frame), check="closure under inverse")
-            note(g1.mat.h @ q @ g1.mat == q, check="form preservation")
+            g1inv = g1.inverse()
+            note(cusp.is_in_NF(g1inv, frame), check="closure under inverse")
+            # g^H Q = Q g^-1 with the inverse built above, not is_in_NF's g^H Q g
+            note(g1.mat.h @ q == q @ g1inv.mat, check="form preservation")
 
             w1 = cusp.random_wf_element(rng, frame)
             w2 = cusp.random_wf_element(rng, frame)
@@ -418,8 +420,10 @@ def _claim_boundary_order2(cfg: RunConfig) -> Computed:
             note = partial(checks.note, D=d_tag, instance=i)
             note(cusp.is_in_NF(g, frame), check="stabiliser membership")
             gsq = g.compose(g)
+            # the lattice that judges the square is tied to the scan oracle
             note(cusp.is_in_UF(gsq, frame)
-                 and cusp.in_sigma_lattice(gsq.w, frame),
+                 and cusp.in_sigma_lattice(gsq.w, frame)
+                 and frame.sigma_gen == _brute_sigma(frame.a),
                  check="square lies in the integral centre")
             note(cusp.fixes_boundary_point(g, w0), check="fixes the boundary point")
             note(cusp.check_qr_congruences(g, frame), check="congruence relations")

@@ -24,10 +24,11 @@ refuse a bad tag, shape, entry or denominator.  The result of an operation
 on checked values is built by one of two trusted constructors, ``_elem``
 for a scalar and ``_mat`` for a matrix, which reduce by the gcd and check
 nothing else.  The constants check their tag once and build through
-``_elem``; ``block_matrix`` checks the tag, the blocks' tags and the tiling
-once, copies the integers of its blocks, which are checked values already,
-and builds the result through ``_mat``.  ``_identity`` is the identity
-built through ``_mat``, for callers whose tag was checked before.
+``_elem``.  ``block_matrix`` checks the tag and the blocks' tags once;
+its core ``_block_matrix``, which callers with checked blocks use
+directly, checks only the tiling and copies the blocks' integers into one
+``_mat``.  ``_identity`` and ``_zero`` build through ``_mat``, for callers
+whose tag was checked before.
 """
 
 from __future__ import annotations
@@ -560,18 +561,30 @@ def _identity(d: int, n: int) -> QMatrix:
                 [0] * (n * n))
 
 
+def _zero(d: int, rows: int, cols: int) -> QMatrix:
+    """``QMatrix.zero`` built through ``_mat``, for a tag already checked."""
+    zeros = (0,) * (rows * cols)
+    return _mat(d, rows, cols, 1, zeros, zeros)
+
+
 def block_matrix(d: int, blocks: Iterable[Iterable]) -> QMatrix:
     """Assemble a matrix from a grid of QMatrix blocks and scalar QElems.
 
     QElem entries are treated as 1x1 blocks; block shapes must tile.  The
-    tag, the blocks' tags and the tiling are checked here once; the blocks
-    themselves are checked values, so their integers are copied as they are
-    and the result is built by ``_mat``.
+    tag and the blocks' tags are checked here once, and ``_block_matrix``
+    assembles the grid.
     """
     check_field_tag(d)
     grid = [list(block_row) for block_row in blocks]
     if any(b.d != d for block_row in grid for b in block_row):
         raise FieldTagError("block field tag differs from matrix tag")
+    return _block_matrix(d, grid)
+
+
+def _block_matrix(d: int, grid) -> QMatrix:
+    """block_matrix of a grid (a list of rows) of checked blocks, all of
+    the checked tag d: only the tiling is checked, and the blocks' integers
+    are copied over the lcm of their denominators into one ``_mat``."""
     den = lcm(*(b.den for block_row in grid for b in block_row))
     re, rt, widths = [], [], set()
     for block_row in grid:

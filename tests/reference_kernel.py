@@ -15,6 +15,11 @@ Block assembly: ``checked_block_matrix`` builds what ``block_matrix`` builds
 through the public checks alone, each scalar block wrapped in a checked 1x1
 ``QMatrix`` and the result rebuilt by ``QMatrix(...)``.
 
+Stabiliser membership: ``stabiliser_relations_hold`` tests the four block
+relations that g^H Q g = Q amounts to for a block upper-triangular g, each
+with its own products, against the one identity that ``cusp.is_in_NF``
+tests.
+
 The lattice scan: ``brute_sigma`` is the scan of the ``sigma_oracle`` claim
 in ``Fraction`` arithmetic, its grid step built from the coordinates of a
 and each grid point tested as a ``QElem`` times a ``Fraction``.
@@ -157,6 +162,17 @@ def checked_block_matrix(d, blocks) -> QMatrix:
         raise ValueError("inconsistent block widths")
     width = widths.pop()
     return QMatrix(d, len(re) // width, width, den, re, rt)
+
+
+def stabiliser_relations_hold(g, frame) -> bool:
+    """For g = (u v w / 0 X y / 0 0 z) and Q = (0 0 a / 0 B 0 / conj(a) 0 0),
+    the blocks of g^H Q g = Q: z conj(u) = 1, X^H B X = B,
+    X^H B y + a z v^H = 0 and y^H B y + conj(a z) w + a z conj(w) = 0."""
+    b, az = frame.b_mat, frame.a * g.z
+    xhb = g.x_mat.h @ b
+    corner = (g.y.h @ b @ g.y).scalar() + az.conj() * g.w + az * g.w.conj()
+    return (g.z * g.u.conj() == QElem.one(g.d) and xhb @ g.x_mat == b
+            and (xhb @ g.y + g.v.h.scale(az)).is_zero and corner.is_zero)
 
 
 def lcm_fractions(a: Fraction, b: Fraction) -> Fraction:

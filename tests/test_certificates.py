@@ -354,12 +354,12 @@ def test_cusp_suite_lists_each_failed_check(monkeypatch):
 
 def test_boundary_order2_lists_each_failed_check(monkeypatch):
     passing, cert = _sweep_with_a_fault(
-        monkeypatch, "boundary_order2", "fixes_boundary_point",
-        lambda orig: lambda g, w0: False)
+        monkeypatch, "boundary_order2", "check_qr_congruences",
+        lambda orig: lambda g, frame: False)
     assert [row["label"] for row in cert.computed] == ["elements", "checks", "failures"]
     assert _rows(cert)["elements"] == passing["elements"] == 6
     assert _rows(cert)["failures"] == [
-        {"D": d, "instance": i, "check": "fixes the boundary point"}
+        {"D": d, "instance": i, "check": "congruence relations"}
         for d in (-5, -6) for i in range(3)]
 
 

@@ -21,10 +21,10 @@ def _top_level_tests(test_file):
 def test_mutant_ids_are_unique_and_each_catching_test_exists():
     ids = [m.id for m in MUTANTS]
     assert len(set(ids)) == len(ids)
-    missing = []
-    for mutant in MUTANTS:
-        for test_id in mutant.caught_by:
-            test_file, name = test_id.split("::")
-            if name.split("[")[0] not in _top_level_tests(test_file):
-                missing.append((mutant.id, test_id))
+    named = [(m.id, *test_id.split("::")) for m in MUTANTS for test_id in m.caught_by]
+    # each test file is parsed once, however many mutants name it
+    defined = {test_file: _top_level_tests(test_file)
+               for test_file in {test_file for _, test_file, _ in named}}
+    missing = [(mutant_id, f"{test_file}::{name}") for mutant_id, test_file, name in named
+               if name.split("[")[0] not in defined[test_file]]
     assert missing == []

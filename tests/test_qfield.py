@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from ballquot.qfield import (FieldTagError, QElem, QMatrix, _elem, _identity,
-                             _mat, block_matrix, fmt_rational, frac,
+                             _zero, block_matrix, fmt_rational, frac,
                              in_ring_of_integers, is_squarefree)
 
 FIELDS = (-1, -2, -3, -5, -6, -7, -11, -15)
@@ -119,9 +119,9 @@ def test_trusted_constants_equal_and_hash_like_the_public_constructors():
     for d in FIELDS:
         pairs = [(_elem(d, 1, 1, 0), QElem.one(d)), (_elem(d, 1, 0, 1), QElem.sqrt_d(d))]
         for n in (1, 2, 3, 4):
-            zeros = (0,) * n
             pairs += [(_identity(d, n), QMatrix.identity(d, n)),
-                      (_mat(d, n, 1, 1, zeros, zeros), QMatrix.zero(d, n, 1))]
+                      (_zero(d, n, 1), QMatrix.zero(d, n, 1)),
+                      (_zero(d, 1, n), QMatrix.zero(d, 1, n))]
         for got, want in pairs:
             assert got == want and hash(got) == hash(want)
 
