@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -89,7 +88,7 @@ def _text_report(certs: List[Certificate], cfg: RunConfig) -> str:
 
 def _json_report(certs: List[Certificate], cfg: RunConfig) -> str:
     doc = {
-        "config": dataclasses.asdict(cfg),
+        "config": cfg._asdict(),
         "certificates": [c.to_obj() for c in certs],
         "all_pass": all(c.passed() for c in certs),
     }

@@ -12,30 +12,30 @@ induced action on the tangent space at a fixed boundary point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .eigen import eigen_exponents
-from .qfield import (FieldTagError, QElem, QMatrix, _block_matrix, _elem,
+from .qfield import (FieldTagError, QElem, QMatrix, _block_matrix, _elem, _Frozen,
                      _identity, _mat, _zero, block_matrix, check_field_tag)
 from .reidtai import EigenSystem
 
 
-@dataclass(frozen=True)
-class CuspFrame:
+class CuspFrame(_Frozen):
     """Normalized Gram data (a, B) of a signature-(n,1) form at the cusp.
 
     B fixes the ambient dimension n = rows of B + 1 and the field tag d;
-    both are plain attributes set once here, not fields, so that equality
-    and hashing see (a, B) only."""
+    both are attributes set once here, outside the fields (a, B) that
+    equality and hashing read.  The cached properties live in the
+    instance's ``__dict__``."""
 
-    a: QElem
-    b_mat: QMatrix
+    _fields = ("a", "b_mat")
 
-    def __post_init__(self):
+    def __init__(self, a: QElem, b_mat: QMatrix):
+        self.__dict__.update(a=a, b_mat=b_mat)
         object.__setattr__(self, "n", self.b_mat.rows + 1)
         object.__setattr__(self, "d", self.b_mat.d)
         if self.n < 2:
@@ -93,14 +93,16 @@ class CuspFrame:
         return self.b_mat.inverse()
 
 
-@dataclass(frozen=True)
-class BoundaryElement:
+class BoundaryElement(_Frozen):
     """Block upper-triangular element (u v w / 0 X y / 0 0 z), stored as its
-    assembled matrix; the blocks are read-only slices of it."""
+    assembled matrix ``mat``, the one field that equality and hashing read;
+    the blocks are read-only slices of it, cached in the instance's
+    ``__dict__``."""
 
-    mat: QMatrix
+    _fields = ("mat",)
 
-    def __post_init__(self):
+    def __init__(self, mat: QMatrix):
+        self.__dict__["mat"] = mat
         mat, npl = self.mat, self.mat.rows
         if mat.cols != npl or npl < 3:
             raise ValueError("boundary elements are square of size >= 3")
@@ -162,8 +164,7 @@ class BoundaryElement:
         return BoundaryElement(-self.mat)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """Chart coordinates (alpha, w) near the cusp."""
 
     alpha: QElem
@@ -414,9 +415,14 @@ def random_vector(rng, d_tag: int, m: int, **kw) -> QMatrix:
     their integers; random_qelem checks the tag."""
     if m < 1:
         raise ValueError("matrix dimensions must be positive")
-    ents = [random_qelem(rng, d_tag, **kw) for _ in range(m)]
+    return _assemble(d_tag, m, 1, [random_qelem(rng, d_tag, **kw) for _ in range(m)])
+
+
+def _assemble(d: int, rows: int, cols: int, ents) -> QMatrix:
+    """The rows x cols matrix of the row-major entries ents, elements of the
+    checked field d, over the lcm of their denominators, through _mat."""
     den = lcm(*[e.den for e in ents])
-    return _mat(d_tag, m, 1, den, [e.a * (den // e.den) for e in ents],
+    return _mat(d, rows, cols, den, [e.a * (den // e.den) for e in ents],
                 [e.b * (den // e.den) for e in ents])
 
 
@@ -436,18 +442,22 @@ def random_frame(rng, d_tag: int, n: int) -> CuspFrame:
 
 
 def random_b_unitary(rng, frame: CuspFrame) -> QMatrix:
-    """Exact isometry of B via the Cayley transform of a B-skew matrix."""
+    """Exact isometry of B via the Cayley transform of a B-skew matrix.
+
+    Row by row, K draws its imaginary diagonal entry and then the entries
+    right of it, and is assembled on its integers."""
     d, m = frame.d, frame.n - 1
     ident = _identity(d, m)
     while True:
-        ents = [[QElem.zero(d)] * m for _ in range(m)]
+        ents = [_elem(d, 1, 0, 0)] * (m * m)
         for i in range(m):
-            ents[i][i] = QElem(d, Fraction(0), random_rational(rng, 2, 2))
+            rt = random_rational(rng, 2, 2)
+            ents[i * m + i] = _elem(d, rt.denominator, 0, rt.numerator)
             for j in range(i + 1, m):
                 x = random_qelem(rng, d, 2, 2)
-                ents[i][j] = x
-                ents[j][i] = -x.conj()
-        k = QMatrix.from_rows(d, ents)  # skew-hermitian
+                ents[i * m + j] = x
+                ents[j * m + i] = -x.conj()
+        k = _assemble(d, m, m, ents)  # skew-hermitian
         s = frame._b_inv @ k
         try:
             x_mat = (ident - s) @ (ident + s).inverse()
@@ -516,8 +526,7 @@ def random_uf_element(rng, frame: CuspFrame) -> BoundaryElement:
     return uf_translation(frame, random_rational(rng, 3, 2))
 
 
-@dataclass(frozen=True)
-class Order2Instance:
+class Order2Instance(NamedTuple):
     """A 2-torsion-mod-centre stabiliser element, a boundary point it fixes,
     and the number of B-reflections in its unitary part."""
 

@@ -25,14 +25,13 @@ which units_mod reads as well.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
 from operator import not_
 from typing import Optional
 
-from .qfield import is_squarefree, check_field_tag
+from .qfield import _Frozen, check_field_tag, is_squarefree
 
 FULL = "FULL"
 PLUS = "PLUS"
@@ -288,16 +287,13 @@ def is_reducible(d: int, d_tag: int) -> bool:
     return by_conductor
 
 
-@dataclass(frozen=True)
-class OrbitSet:
+class OrbitSet(_Frozen):
     """Exponents of one irreducible factor's set of primitive d-th roots."""
 
-    d: int
-    members: tuple
-    label: str
-    d_field: Optional[int] = None
+    _fields = ("d", "members", "label", "d_field")
 
-    def __post_init__(self):
+    def __init__(self, d: int, members: tuple, label: str, d_field: Optional[int]):
+        self.__dict__.update(d=d, members=members, label=label, d_field=d_field)
         if self.label not in (FULL, PLUS, MINUS):
             raise ValueError(f"bad orbit label {self.label!r}")
         if (self.d_field is None) != (self.label == FULL):

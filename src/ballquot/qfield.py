@@ -33,10 +33,10 @@ whose tag was checked before.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -91,7 +91,41 @@ def fmt_rational(q: RationalLike) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-class QElem:
+class _Frozen:
+    """Base of the immutable value types: assignment and deletion raise
+    FrozenInstanceError, so ``__init__`` sets the fields past the guard.  A
+    subclass that names its fields in ``_fields`` compares (``NotImplemented``
+    for any other class), hashes and prints by them."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            # the field values in one C call (a lone field as itself)
+            cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class QElem(_Frozen):
     """An element re + rt*sqrt(D) of the imaginary quadratic field Q(sqrt(D)).
 
     Immutable; stored as the tag ``d`` and integers ``den``, ``a``, ``b``
@@ -113,12 +147,6 @@ class QElem:
         _set_den(self, den)
         _set_a(self, p * (den // q))
         _set_b(self, r * (den // s))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return QElem, (self.d, self.re, self.rt)
@@ -312,20 +340,16 @@ def in_ring_of_integers(x: QElem) -> bool:
     return x.den == 1
 
 
-@dataclass(frozen=True)
-class QMatrix:
+class QMatrix(_Frozen):
     """Dense matrix over Q(sqrt(D)), row-major, immutable: entry k is
-    (re[k] + rt[k]*sqrt(D)) / den in lowest terms, a unique form, so the
-    generated ``==`` and hash compare values."""
+    (re[k] + rt[k]*sqrt(D)) / den in lowest terms, a unique form, so ``==``
+    and hash, which read the fields (d, rows, cols, den, re, rt), compare
+    values."""
 
-    d: int
-    rows: int
-    cols: int
-    den: int
-    re: tuple
-    rt: tuple
+    _fields = ("d", "rows", "cols", "den", "re", "rt")
 
-    def __post_init__(self):
+    def __init__(self, d: int, rows: int, cols: int, den: int, re: tuple, rt: tuple):
+        self.__dict__.update(d=d, rows=rows, cols=cols, den=den, re=re, rt=rt)
         check_field_tag(self.d)
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("matrix dimensions must be positive")

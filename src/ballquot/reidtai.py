@@ -10,15 +10,14 @@ splitting fields) are finite, and every minimization returns its witness.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .cyclo import (OrbitSet, full_orbit, is_reducible, kronecker, orbit_sets,
                     phi_sieve, suitable_fields, units_mod)
-from .qfield import frac
+from .qfield import _Frozen, frac
 
 DFilter = Optional[Callable[[int], bool]]
 
@@ -31,14 +30,13 @@ DIMENSION_COEFF: Dict[int, int] = {
 }
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(_Frozen):
     """Order m and exponent multiset of the eigenvalues zeta_m^{a_i}."""
 
-    order: int
-    exponents: tuple
+    _fields = ("order", "exponents")
 
-    def __post_init__(self):
+    def __init__(self, order: int, exponents: tuple):
+        self.__dict__.update(order=order, exponents=exponents)
         if self.order < 1:
             raise ValueError("order must be positive")
         if not self.exponents:
@@ -119,8 +117,7 @@ def admissible_orbits(r: int, d_filter: DFilter = None):
     return orbits
 
 
-@dataclass(frozen=True)
-class MinWitness:
+class MinWitness(NamedTuple):
     value: Fraction
     orbit_label: str
     d_field: Optional[int]
@@ -293,8 +290,7 @@ D_MINUS6 = "D_MINUS6"
 D_MINUS15 = "D_MINUS15"
 
 
-@dataclass(frozen=True)
-class _CaseFamily:
+class _CaseFamily(NamedTuple):
     r_set: Tuple[int, ...]
     d_field: Optional[int]      # splitting field fixed by the case, if any
     allowed_d: Tuple[int, ...]  # isotypic orders kept in the dimension count
@@ -311,8 +307,7 @@ CASE_FAMILIES: Dict[str, _CaseFamily] = {
 }
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     case_id: str
     per_d_contribution: Dict[int, Fraction]
     omega_contribution: Fraction
@@ -320,7 +315,7 @@ class CaseReport:
     threshold_desc: str
     n: int
     forced: bool
-    excluded_d_minima: Dict[int, Fraction] = field(default_factory=dict)
+    excluded_d_minima: Dict[int, Fraction]
 
 
 def pooled_contribution(d: int, r_set, d_tag: Optional[int]) -> Fraction:
@@ -387,8 +382,7 @@ def case_analysis(case_id: str, n: int) -> CaseReport:
 # quasi-reflection bookkeeping
 
 
-@dataclass(frozen=True)
-class QRPattern:
+class QRPattern(NamedTuple):
     """Allowed scaling-eigenvalue orders and exceptional-eigenvalue orders for
     powers acting as quasi-reflections."""
 

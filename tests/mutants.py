@@ -293,6 +293,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        return 2 * uf_lattice_generator(self.a)\n",
            ("tests/test_cusp.py::test_sigma_gen_of_a_frame_matches_the_scan",
             "tests/test_acceptance.py::test_criterion_09_boundary_order2_suite")),
+    Mutant("frame_equality_on_a_alone", CUSP,
+           '    _fields = ("a", "b_mat")\n',
+           '    _fields = ("a",)\n',
+           ("tests/test_cusp.py::test_membership_memo_tells_apart_frames_that_share_a",
+            "tests/test_cusp.py::test_q_matrix_is_kept_by_the_frame_without_changing_its_value",
+            "tests/test_value_types.py::test_equal_values_compare_and_hash_equal")),
     Mutant("random_qelem_rt_over_wrong_den", CUSP,
            "return _elem(d_tag, q * s, p * s, r * q)",
            "return _elem(d_tag, q * s, p * s, r * s)",

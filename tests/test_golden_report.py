@@ -63,3 +63,26 @@ def test_every_perturbed_slot_fails(golden_run):
         for path in slots:
             cert = certify(claim, result, perturb_at(expected, path))
             assert cert.verdict == "FAIL", (claim_id, path)
+
+
+def _records(x):
+    """The NamedTuple records inside a report structure."""
+    if isinstance(x, tuple) and hasattr(x, "_fields"):
+        yield x
+    if isinstance(x, dict):
+        x = [*x.keys(), *x.values()]
+    if isinstance(x, (list, tuple, frozenset)):
+        for v in x:
+            yield from _records(v)
+
+
+def test_no_record_reaches_the_tuple_branches(golden_run):
+    # _render, list_expected_slots and perturb_at walk every tuple as a
+    # sequence, so no record may sit in the rows, inputs, bounds or
+    # expected value of a claim
+    _, _, computed = golden_run
+    for claim_id, claim in CLAIMS.items():
+        (result,) = computed[claim_id]
+        expected = claim.expected(claim_config(claim, CFG))
+        walked = [result.rows, result.inputs, result.search_bounds, expected]
+        assert list(_records(walked)) == [], claim_id

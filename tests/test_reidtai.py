@@ -174,7 +174,7 @@ def quadratic_c_min_red_with_witness(d):
 
 
 def linear_orbit_minimum(members, r):
-    total, k1 = orbit_minimum(OrbitSet(r, tuple(members), FULL))
+    total, k1 = orbit_minimum(OrbitSet(r, tuple(members), FULL, None))
     return F(total, r), k1
 
 
