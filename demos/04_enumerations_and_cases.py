@@ -17,7 +17,7 @@ print(", ".join(map(str, enumerate_small_d(10 ** 4))))
 print()
 print("== case analysis ==")
 for case_id in ("PHI2", "R7_14", "D_MINUS5", "D_MINUS6", "D_MINUS15"):
-    rep = case_analysis(case_id, 12)
+    rep = case_analysis(case_id)
     table = {d: fmt_rational(v) for d, v in sorted(rep.per_d_contribution.items())}
     print(f"{case_id}: per-order contributions {table}")
     print(f"         omega term {fmt_rational(rep.omega_contribution)}, "

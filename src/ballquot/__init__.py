@@ -14,11 +14,10 @@ from .cyclo import (FULL, MINUS, PLUS, InternalCheckError, OrbitSet,
                     complex_conjugate_orbit, cyclotomic_polynomial, euler_phi,
                     factorize, field_discriminant, is_reducible, kronecker,
                     orbit_sets, suitable_fields, units_mod)
-from .reidtai import (CaseReport, EigenSystem, QRPattern, c_min, c_min_red,
-                      case_analysis, enumerate_exceptional_orders,
-                      enumerate_small_d, hom_contribution, is_quasi_reflection,
-                      mc, mc_for_field, qr_allowed_patterns, reid_tai_sum,
-                      sigma_prime)
+from .reidtai import (CaseReport, EigenSystem, c_min, c_min_red, case_analysis,
+                      enumerate_exceptional_orders, enumerate_small_d,
+                      hom_contribution, is_quasi_reflection, mc, mc_for_field,
+                      qr_allowed_patterns, reid_tai_sum, sigma_prime)
 from .eigen import eigen_exponents, matrix_order
 from .cusp import (BoundaryElement, BoundaryPoint, CuspFrame,
                    apply_boundary_action, boundary_divisor_fixed,

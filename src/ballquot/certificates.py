@@ -3,10 +3,13 @@
 Each claim has three parts.  Its compute step ``run(cfg)`` recomputes a
 finite quantity from scratch (minima with witnesses, enumerations, property
 sweeps) and returns a :class:`Computed`: the report rows and the observed
-value.  ``expected(cfg)`` is the claim's default expected value, taken from
-:mod:`ballquot.tables` or an exact bound, and ``judge(computed, expected)``
-gives the verdict: the observed value equals the expected one and the
-claim's intrinsic checks (such as every ``mc(r) >= 1``) hold.
+value.  A compute step reads no expected value: what it searches (orders,
+cases, fields) comes from the computation's own modules, never from
+:mod:`ballquot.tables`.  ``expected(cfg)`` is the claim's default expected
+value, taken from :mod:`ballquot.tables` or an exact bound, and
+``judge(computed, expected)`` gives the verdict: the observed value equals
+the expected one and the claim's intrinsic checks (such as every
+``mc(r) >= 1``) hold.
 :func:`certify` joins the parts into a :class:`Certificate` with PASS/FAIL
 verdict, inputs, search bounds and witnesses, so one computation can be
 judged against many expected values; rationals are serialized in lowest
@@ -27,11 +30,10 @@ from . import cusp, reidtai, tables
 from .cyclo import euler_phi
 from .qfield import (QElem, QMatrix, _elem, fmt_rational, in_ring_of_integers,
                      is_squarefree)
-from .reidtai import (CASE_FAMILIES, DIMENSION_COEFF, EigenSystem,
-                      c_min_red_with_witness, case_analysis,
-                      enumerate_exceptional_orders, enumerate_small_d,
-                      is_quasi_reflection, mc_for_field, mc_literal_reading,
-                      mc_with_witness, qr_allowed_patterns,
+from .reidtai import (CASE_FAMILIES, DIMENSION_COEFF, c_min_red_with_witness,
+                      case_analysis, enumerate_exceptional_orders,
+                      enumerate_small_d, is_quasi_reflection, mc_for_field,
+                      mc_literal_reading, mc_with_witness, qr_allowed_patterns,
                       reid_tai_sum)
 
 PASS = "PASS"
@@ -93,8 +95,6 @@ def _render(x):
         return fmt_rational(x)
     if isinstance(x, (QElem, QMatrix)):
         return str(x)
-    if isinstance(x, EigenSystem):
-        return {"order": x.order, "exponents": list(x.exponents)}
     if isinstance(x, dict):
         return {str(k): _render(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
     if isinstance(x, frozenset):
@@ -120,8 +120,8 @@ def _order_differences(result: Computed, expected) -> List[Dict]:
 
 
 def _qr_patterns_allowed(result: Computed, expected) -> bool:
-    return all(p.alpha_orders == p.exceptional_orders == expected.get(d, expected["generic"])
-               for d, p in result.observed.items())
+    return all(orders == expected.get(d, expected["generic"])
+               for d, orders in result.observed.items())
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def _sweep_minimum(rows: List[Dict], values, **where) -> Computed:
 
 def _claim_cminred(cfg: RunConfig) -> Computed:
     rows, observed = [], {}
-    for d in sorted(tables.CMINRED_EXPECTED):
+    for d in sorted(d for d in DIMENSION_COEFF if d >= 3):
         value, d_tag, label, shift = c_min_red_with_witness(d)
         observed[d] = value
         rows.append({"label": f"c_min_red({d})", "value": value,
@@ -205,16 +205,14 @@ def _claim_small_d(cfg: RunConfig) -> Computed:
 def _claim_case_tables(cfg: RunConfig) -> Computed:
     rows, observed, intrinsic = [], {}, True
     for case_id in sorted(CASE_FAMILIES):
-        # analysed at the published dimension, where the sum must be forced
-        report = case_analysis(case_id, tables.CASE_EXPECTED[case_id]["threshold_n"])
+        report = case_analysis(case_id)
         observed[case_id] = {
             "per_d": report.per_d_contribution,
             "omega": report.omega_contribution,
             "threshold_n": report.threshold_n,
             "threshold_desc": report.threshold_desc,
         }
-        intrinsic = (intrinsic and report.forced
-                     and all(v >= 1 for v in report.excluded_d_minima.values()))
+        intrinsic = intrinsic and all(v >= 1 for v in report.excluded_d_minima.values())
         rows.append({"label": case_id,
                      "value": {**observed[case_id],
                                "excluded_d_minima": report.excluded_d_minima}})
@@ -242,8 +240,8 @@ def _claim_omega_unsplit(cfg: RunConfig) -> Computed:
 def _claim_qr_patterns(cfg: RunConfig) -> Computed:
     fields = [-1, -2, -3, -5, -7, -13]
     patterns = {d_tag: qr_allowed_patterns(d_tag) for d_tag in fields}
-    return Computed([{"label": f"D={d}", "value": p.alpha_orders}
-                     for d, p in patterns.items()],
+    return Computed([{"label": f"D={d}", "value": orders}
+                     for d, orders in patterns.items()],
                     patterns, search_bounds={"fields": fields})
 
 

@@ -394,7 +394,7 @@ def boundary_divisor_fixed(g: BoundaryElement, frame: CuspFrame) -> bool:
 # random instances for the property sweeps
 
 
-def random_rational(rng, max_num: int = 4, max_den: int = 3) -> Fraction:
+def random_rational(rng, max_num: int, max_den: int) -> Fraction:
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
 
 

@@ -416,6 +416,8 @@ class QMatrix(_Frozen):
                 for i in range(0, len(self.re), nc)]
 
     def submatrix(self, row0: int, col0: int, nrows: int, ncols: int) -> "QMatrix":
+        if nrows < 1 or ncols < 1:
+            raise ValueError("matrix dimensions must be positive")
         if min(row0, col0) < 0 or row0 + nrows > self.rows or col0 + ncols > self.cols:
             raise IndexError("submatrix out of range")
         index = [i * self.cols + j for i in range(row0, row0 + nrows)
@@ -594,12 +596,15 @@ def _zero(d: int, rows: int, cols: int) -> QMatrix:
 def block_matrix(d: int, blocks: Iterable[Iterable]) -> QMatrix:
     """Assemble a matrix from a grid of QMatrix blocks and scalar QElems.
 
-    QElem entries are treated as 1x1 blocks; block shapes must tile.  The
+    QElem entries are treated as 1x1 blocks; block shapes must tile, and a
+    grid without blocks, or with an empty block row, is an empty shape.  The
     tag and the blocks' tags are checked here once, and ``_block_matrix``
     assembles the grid.
     """
     check_field_tag(d)
     grid = [list(block_row) for block_row in blocks]
+    if not grid or not all(grid):
+        raise ValueError("matrix dimensions must be positive")
     if any(b.d != d for block_row in grid for b in block_row):
         raise FieldTagError("block field tag differs from matrix tag")
     return _block_matrix(d, grid)

@@ -313,8 +313,6 @@ class CaseReport(NamedTuple):
     omega_contribution: Fraction
     threshold_n: int
     threshold_desc: str
-    n: int
-    forced: bool
     excluded_d_minima: Dict[int, Fraction]
 
 
@@ -327,13 +325,13 @@ def pooled_contribution(d: int, r_set, d_tag: Optional[int]) -> Fraction:
     )
 
 
-def case_analysis(case_id: str, n: int) -> CaseReport:
+def case_analysis(case_id: str) -> CaseReport:
     """Reproduce one branch of the finite case analysis.
 
     Returns the per-order contribution minima, the omega term, the smallest
-    ambient dimension at which the total is forced to reach 1, and the minima
-    for the orders excluded from the branch (these must all be >= 1 for the
-    reduction to be valid).
+    ambient dimension from which on the total is forced to reach 1, and the
+    minima for the orders excluded from the branch (these must all be >= 1
+    for the reduction to be valid).
     """
     if case_id not in CASE_FAMILIES:
         raise ValueError(f"unknown case id {case_id!r}")
@@ -372,8 +370,6 @@ def case_analysis(case_id: str, n: int) -> CaseReport:
         omega_contribution=omega,
         threshold_n=thr,
         threshold_desc=desc,
-        n=n,
-        forced=n >= thr,
         excluded_d_minima=excluded,
     )
 
@@ -382,20 +378,13 @@ def case_analysis(case_id: str, n: int) -> CaseReport:
 # quasi-reflection bookkeeping
 
 
-class QRPattern(NamedTuple):
-    """Allowed scaling-eigenvalue orders and exceptional-eigenvalue orders for
-    powers acting as quasi-reflections."""
-
-    alpha_orders: frozenset
-    exceptional_orders: frozenset
-
-
-def qr_allowed_patterns(d_tag: int) -> QRPattern:
+def qr_allowed_patterns(d_tag: int) -> frozenset:
+    """The allowed orders of the scaling eigenvalue, which are also those of
+    the exceptional eigenvalue, for powers acting as quasi-reflections: the
+    orders of the units of the field."""
     if d_tag == -1:
-        orders = frozenset({1, 2, 4})
-    elif d_tag == -3:
-        orders = frozenset({1, 2, 3, 6})
-    else:
-        # D < -3 and D = -2: the only units are +-1
-        orders = frozenset({1, 2})
-    return QRPattern(alpha_orders=orders, exceptional_orders=orders)
+        return frozenset({1, 2, 4})
+    if d_tag == -3:
+        return frozenset({1, 2, 3, 6})
+    # D < -3 and D = -2: the only units are +-1
+    return frozenset({1, 2})

@@ -102,6 +102,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    check_field_tag(d)\n    grid = [list(block_row) for block_row in blocks]\n",
            "    grid = [list(block_row) for block_row in blocks]\n",
            ("tests/test_kernel.py::test_block_matrix_refuses_bad_tags_and_tilings",)),
+    Mutant("submatrix_accepts_empty_slices", QFIELD,
+           "        if nrows < 1 or ncols < 1:\n",
+           "        if nrows < 0 or ncols < 0:\n",
+           ("tests/test_qfield.py::test_every_empty_shape_is_refused_alike",)),
     Mutant("constant_one_skips_tag_check", QFIELD,
            "return _elem(check_field_tag(d), 1, 1, 0)",
            "return _elem(d, 1, 1, 0)",
@@ -201,6 +205,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        halves = [orbit.members for orbit in orbit_sets(d, d_tag)]\n",
            "        halves = [orbit_sets(d, d_tag)[0].members]\n",
            ("tests/test_reidtai.py::test_hom_contribution_split_matches_kronecker_halves",
+            "tests/test_golden_report.py::test_report_reproduces_golden_file")),
+    Mutant("qr_orders_gaussian_drop_4", REIDTAI,
+           "        return frozenset({1, 2, 4})\n",
+           "        return frozenset({1, 2})\n",
+           ("tests/test_reidtai.py::test_qr_allowed_patterns",
             "tests/test_golden_report.py::test_report_reproduces_golden_file")),
     # -- eigenvalue exponents
     Mutant("eigen_orbits_swapped", EIGEN,
@@ -347,6 +356,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_certificates.py::test_cusp_suite_lists_each_failed_check",
             "tests/test_certificates.py::test_boundary_order2_lists_each_failed_check",
             "tests/test_certificates.py::test_sigma_sweeps_list_each_failed_case")),
+    Mutant("cminred_domain_drops_3", CERTIFICATES,
+           "DIMENSION_COEFF if d >= 3)",
+           "DIMENSION_COEFF if d > 3)",
+           ("tests/test_certificates.py::test_verify_claim_api",
+            "tests/test_acceptance.py::test_criterion_01_cminred_values",
+            "tests/test_golden_report.py::test_report_reproduces_golden_file")),
     Mutant("sigma_step_from_one_coefficient", CERTIFICATES,
            "    for c in (2 * a.a, 2 * a.b * d_tag):\n",
            "    for c in (2 * a.a,):\n",

@@ -74,8 +74,8 @@ def test_criterion_04_small_d_list():
 
 
 def test_criterion_05_case_analysis():
-    # every case is analysed at its threshold, where the claim also asks
-    # that the total is forced and that the excluded d contribute >= 1
+    # every case's tables and threshold are computed, and the claim also
+    # asks that the excluded d contribute >= 1
     common = {1: F(1, 30), 2: F(1, 30), 3: F(5, 12), 4: F(8, 15), 6: F(5, 12)}
     expected = {
         "PHI2": {"per_d": {1: F(1, 6), 2: F(1, 6), 3: F(1, 3), 4: F(1, 2),

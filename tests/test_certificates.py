@@ -6,7 +6,7 @@ import pytest
 
 import ballquot.cli as cli
 from ballquot.certificates import (CLAIMS, RunConfig, UnknownClaimError,
-                                   list_expected_slots, perturb_at,
+                                   claim_config, list_expected_slots, perturb_at,
                                    perturb_value, run_claims, select_claims,
                                    verify_claim)
 from ballquot.cyclo import InternalCheckError
@@ -46,6 +46,40 @@ def test_verify_claim_negative_control():
     cert = verify_claim("cminred_table", perturb=True)
     assert cert.verdict == "FAIL"
     assert cert.expected == {**tables.CMINRED_EXPECTED, 12: F(1, 3) + F(1, 997)}
+
+
+def test_compute_steps_read_no_expected_value(monkeypatch):
+    """Every claim computes the same with each name of ballquot.tables
+    replaced by a dummy, so no compute step reads an expected value."""
+    import ballquot.tables as tables
+    cfg = RunConfig(d_range=(5, 6))
+    computed = {claim_id: claim.run(claim_config(claim, cfg))
+                for claim_id, claim in CLAIMS.items()}
+    dummies = {
+        "MC_PHI10_MIN": F(-1), "MC_9_16_18_MIN": F(-1),
+        "MC_PHI4_RESTRICTED_MIN": F(-1), "OMEGA_UNSPLIT_MIN": F(-1),
+        "CMINRED_EXPECTED": {5: F(0)},
+        "SMALL_D_EXPECTED": (),
+        "expand_exceptional_families": lambda limit: (),
+        "CASE_EXPECTED": {case_id: {**want, "threshold_n": 1}
+                          for case_id, want in tables.CASE_EXPECTED.items()},
+        "DIMENSION_COEFF_EXPECTED": {},
+        "QR_PATTERNS_EXPECTED": {"generic": frozenset()},
+    }
+    own = {name for name, value in vars(tables).items()
+           if (name.isupper() and value is not F)
+           or getattr(value, "__module__", None) == tables.__name__}
+    assert own == set(dummies)
+    for name, value in dummies.items():
+        monkeypatch.setattr(tables, name, value)
+    changed = []  # each claim that computes otherwise, or raises, with dummies
+    for claim_id, claim in CLAIMS.items():
+        try:
+            if claim.run(claim_config(claim, cfg)) != computed[claim_id]:
+                changed.append(claim_id)
+        except Exception as exc:
+            changed.append(f"{claim_id}: {exc!r}")
+    assert changed == []
 
 
 def test_perturb_helpers():

@@ -129,7 +129,13 @@ def test_trusted_constants_equal_and_hash_like_the_public_constructors():
 def test_every_empty_shape_is_refused_alike():
     for build in (lambda: QMatrix.from_rows(-5, []), lambda: QMatrix.column(-5, []),
                   lambda: QMatrix.from_rows(-5, [[]]), lambda: QMatrix.identity(-5, 0),
-                  lambda: QMatrix.zero(-5, 2, 0), lambda: QMatrix(-5, 0, 1, 1, (), ())):
+                  lambda: QMatrix.zero(-5, 2, 0), lambda: QMatrix(-5, 0, 1, 1, (), ()),
+                  # a slice of no rows or columns, and a grid with no block
+                  lambda: QMatrix.identity(-5, 2).submatrix(0, 0, 0, 0),
+                  lambda: QMatrix.identity(-5, 2).submatrix(0, 0, 1, 0),
+                  lambda: QMatrix.identity(-5, 2).submatrix(0, 0, -1, 2),
+                  lambda: block_matrix(-5, []), lambda: block_matrix(-5, [[]]),
+                  lambda: block_matrix(-5, [[QElem.one(-5)], []])):
         with pytest.raises(ValueError, match="matrix dimensions must be positive"):
             build()
 

@@ -465,41 +465,40 @@ def test_dimension_coefficients_first_principles():
 
 
 def test_case_analysis_tables():
-    rep1 = case_analysis("PHI2", 7)
+    # a threshold n means the total is forced to reach 1 from n on, not below
+    rep1 = case_analysis("PHI2")
     assert rep1.per_d_contribution == {1: F(1, 6), 2: F(1, 6), 3: F(1, 3),
                                        4: F(1, 2), 6: F(1, 3)}
-    assert rep1.threshold_n == 7 and rep1.forced
+    assert rep1.threshold_n == 7
     assert rep1.threshold_desc == "n-1>=6"
-    assert not case_analysis("PHI2", 6).forced
 
-    rep2 = case_analysis("R7_14", 8)
+    rep2 = case_analysis("R7_14")
     assert rep2.per_d_contribution == {1: F(1, 14), 2: F(1, 14), 3: F(3, 7),
                                        4: F(4, 7), 6: F(3, 7), 7: F(4, 7),
                                        14: F(4, 7)}
     assert rep2.omega_contribution == F(4, 7)
-    assert rep2.threshold_n == 8 and rep2.forced
+    assert rep2.threshold_n == 8
 
-    rep3a = case_analysis("D_MINUS5", 9)
+    rep3a = case_analysis("D_MINUS5")
     assert rep3a.per_d_contribution[20] == F(4, 5)
     assert rep3a.omega_contribution == F(4, 5)
     assert rep3a.threshold_n == 9
 
-    rep3b = case_analysis("D_MINUS6", 8)
+    rep3b = case_analysis("D_MINUS6")
     assert rep3b.per_d_contribution[24] == F(5, 6)
     assert rep3b.omega_contribution == F(5, 6)
     assert rep3b.threshold_n == 8
 
-    rep3c = case_analysis("D_MINUS15", 11)
+    rep3c = case_analysis("D_MINUS15")
     assert rep3c.per_d_contribution[15] == F(11, 15)
     assert rep3c.per_d_contribution[30] == F(11, 15)
     assert rep3c.omega_contribution == F(11, 15)
-    assert rep3c.threshold_n == 11 and rep3c.forced
-    assert not case_analysis("D_MINUS15", 10).forced
+    assert rep3c.threshold_n == 11
 
 
 def test_case_analysis_excluded_d():
     for case_id in CASE_FAMILIES:
-        rep = case_analysis(case_id, 12)
+        rep = case_analysis(case_id)
         assert rep.excluded_d_minima, case_id
         for d, value in rep.excluded_d_minima.items():
             assert value >= 1, (case_id, d)
@@ -507,7 +506,7 @@ def test_case_analysis_excluded_d():
 
 def test_case_analysis_unknown_case():
     with pytest.raises(ValueError):
-        case_analysis("PHI3", 7)
+        case_analysis("PHI3")
 
 
 def test_pooled_contribution_matches_manual_min():
@@ -520,9 +519,7 @@ def test_pooled_contribution_matches_manual_min():
 # quasi-reflection patterns
 
 def test_qr_allowed_patterns():
-    p5 = qr_allowed_patterns(-5)
-    assert p5.alpha_orders == frozenset({1, 2})
-    assert p5.exceptional_orders == frozenset({1, 2})
-    assert qr_allowed_patterns(-2).alpha_orders == frozenset({1, 2})
-    assert qr_allowed_patterns(-1).exceptional_orders == frozenset({1, 2, 4})
-    assert qr_allowed_patterns(-3).exceptional_orders == frozenset({1, 2, 3, 6})
+    assert qr_allowed_patterns(-5) == frozenset({1, 2})
+    assert qr_allowed_patterns(-2) == frozenset({1, 2})
+    assert qr_allowed_patterns(-1) == frozenset({1, 2, 4})
+    assert qr_allowed_patterns(-3) == frozenset({1, 2, 3, 6})

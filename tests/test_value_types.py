@@ -20,7 +20,7 @@ from typing import NamedTuple
 import pytest
 
 import ballquot
-from ballquot import certificates, cusp
+from ballquot import certificates, cusp, qfield
 from ballquot.cusp import BoundaryElement, CuspFrame
 from ballquot.cyclo import FULL, PLUS, OrbitSet, full_orbit, orbit_sets
 from ballquot.qfield import QElem, QMatrix
@@ -200,7 +200,7 @@ VALIDATION_ERRORS = [
     (lambda: OrbitSet(8, (1, 2), PLUS, -2), "orbit member 2 is not a unit in [1, 8)"),
     (lambda: EigenSystem(0, (1,)), "order must be positive"),
     (lambda: EigenSystem(3, ()), "eigen system needs at least one exponent"),
-    (lambda: CuspFrame(QElem.one(-5), _b().submatrix(0, 0, 0, 0)),
+    (lambda: CuspFrame(QElem.one(-5), qfield._mat(-5, 0, 0, 1, (), ())),
      "frames need a nonempty B (ambient dimension n >= 2)"),
     (lambda: CuspFrame(QElem.one(-6), _b()), "field tags of frame data disagree"),
     (lambda: CuspFrame(QElem.zero(-5), _b()),
