@@ -1,7 +1,6 @@
 # Splitting the primitive d-th roots of unity over an imaginary quadratic
-# field: the Kronecker-symbol orbits and their conjugation swap.
-from ballquot import (complex_conjugate_orbit, is_reducible, kronecker,
-                      orbit_sets, suitable_fields)
+# field: the Kronecker-symbol orbits.
+from ballquot import is_reducible, kronecker, orbit_sets, suitable_fields
 
 for d in (7, 8, 12, 20):
     print(f"== d = {d} ==")
@@ -10,8 +9,6 @@ for d in (7, 8, 12, 20):
     for D in fields:
         plus, minus = orbit_sets(d, D)
         print(f"  D = {D}: +1 orbit {plus.members}, -1 orbit {minus.members}")
-        swapped = complex_conjugate_orbit(plus)
-        print(f"           conjugating the +1 orbit gives the {swapped.label} orbit")
     print()
 
 print("no imaginary quadratic field splits d = 5:", suitable_fields(5) == ())

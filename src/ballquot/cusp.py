@@ -342,8 +342,8 @@ def boundary_tangent_exponents(g: BoundaryElement, w0: QMatrix,
 
     The torus direction contributes the rational exponent t / sigma where
     t = v.w0 + w; the remaining directions carry the exponents of X.  The
-    element must have z = +-1 and fix (0, w0); non-torsion translation parts
-    raise ValueError.
+    element must have z = +-1, fix (0, w0) and have X @ X = I; other X and
+    non-torsion translation parts raise ValueError.
     """
     _require_stabiliser(g, frame)
     g = normalize_sign(g)

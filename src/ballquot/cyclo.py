@@ -334,19 +334,6 @@ def orbit_sets(d: int, d_tag: int):
     return _orbit(d, plus, PLUS, d_tag), _orbit(d, minus, MINUS, d_tag)
 
 
-def complex_conjugate_orbit(orbit: OrbitSet) -> OrbitSet:
-    """The orbit containing {d - a : a in orbit}; for D < 0 the other one."""
-    if orbit.label == FULL:
-        return orbit
-    negated = tuple(sorted((orbit.d - a) % orbit.d for a in orbit.members))
-    plus, minus = orbit_sets(orbit.d, orbit.d_field)
-    if negated == plus.members:
-        return plus
-    if negated == minus.members:
-        return minus
-    raise InternalCheckError("negated orbit is not a Kronecker orbit")
-
-
 def suitable_fields(d: int):
     """All squarefree D < 0 whose quadratic field sits inside the d-th
     cyclotomic field, i.e. the splitting fields; ordered by |D|."""

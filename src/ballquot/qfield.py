@@ -80,11 +80,6 @@ def check_field_tag(d: int) -> int:
     return d
 
 
-def frac(q: RationalLike) -> Fraction:
-    """Fractional part q - floor(q), always in [0, 1)."""
-    return Fraction(q) % 1
-
-
 def fmt_rational(q: RationalLike) -> str:
     """Lowest-terms 'p/q' string, or plain 'n' for integers."""
     q = Fraction(q)
@@ -530,9 +525,6 @@ class QMatrix(_Frozen):
 
     def rank(self) -> int:
         return self._eliminate()[0]
-
-    def kernel_dimension(self) -> int:
-        return self.cols - self.rank()
 
     def inverse(self) -> "QMatrix":
         if self.rows != self.cols:

@@ -17,7 +17,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .cyclo import (OrbitSet, full_orbit, is_reducible, kronecker, orbit_sets,
                     phi_sieve, suitable_fields, units_mod)
-from .qfield import _Frozen, frac
+from .qfield import _Frozen
 
 DFilter = Optional[Callable[[int], bool]]
 
@@ -54,26 +54,6 @@ def reid_tai_sum(es: EigenSystem) -> Fraction:
 def is_quasi_reflection(es: EigenSystem) -> bool:
     """Exactly one eigenvalue differs from 1."""
     return sum(1 for a in es.exponents if a != 0) == 1
-
-
-def sigma_prime(exponents, l: int, k: int, f: int) -> Fraction:
-    """Modified sum for the smooth quotient by an order-l power element.
-
-    ``exponents`` are the a_i of the original order-l*k element; the last one
-    is the exceptional direction, weighted by 1/k instead of 1/(l*k).
-    """
-    if l < 1 or k < 1:
-        raise ValueError("l and k must be positive")
-    if not 1 <= f < k:
-        raise ValueError(f"f must lie in [1, {k}), got {f}")
-    if not exponents:
-        raise ValueError("need at least one exponent")
-    *head, last = exponents
-    total = frac(Fraction(f * last, k))
-    lk = l * k
-    for a in head:
-        total += frac(Fraction(f * a, lk))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +193,6 @@ def enumerate_small_d(limit: int):
 # shifted unit sums
 
 
-def c_min(d: int) -> Fraction:
-    """min over shifts a of the full unit sum of {(b + a)/d}; 0 for d = 1, 2."""
-    if d < 1:
-        raise ValueError("c_min expects d >= 1")
-    if d < 3:
-        return Fraction(0)
-    return Fraction(_shift_minimum(full_orbit(d))[0], d)
-
-
 def _shift_minimum(orbit: OrbitSet) -> Tuple[int, int]:
     """Least sum over the orbit of (b + a) mod d over shifts a in [0, d), with
     the first a that reaches it.
@@ -244,7 +215,7 @@ def c_min_red_with_witness(d: int):
         raise ValueError("c_min_red expects d >= 3")
     fields = suitable_fields(d)
     if not fields:
-        raise ValueError(f"no suitable splitting field for d={d}: use c_min instead")
+        raise ValueError(f"no suitable splitting field for d={d}")
     best = None
     for d_tag in fields:
         for orbit in orbit_sets(d, d_tag):

@@ -7,10 +7,10 @@ import pytest
 
 from ballquot import cyclo
 from ballquot.cyclo import (FULL, MINUS, PLUS, InternalCheckError, OrbitSet,
-                            complex_conjugate_orbit, cyclotomic_polynomial,
-                            euler_phi, factorize, field_discriminant,
-                            full_orbit, is_reducible, kronecker, orbit_sets,
-                            phi_sieve, suitable_fields, units_mod)
+                            cyclotomic_polynomial, euler_phi, factorize,
+                            field_discriminant, full_orbit, is_reducible,
+                            kronecker, orbit_sets, phi_sieve, suitable_fields,
+                            units_mod)
 from ballquot.reidtai import hom_contribution, mc_for_field
 
 
@@ -402,6 +402,8 @@ def test_orbit_sets_sizes_and_one():
             assert len(plus) == len(minus) == euler_phi(d) // 2
             assert 1 in plus.members
             assert set(plus.members) | set(minus.members) == set(units_mod(d))
+            # complex conjugation a -> d - a swaps the orbits, since D < 0
+            assert tuple(sorted(d - a for a in plus.members)) == minus.members
 
 
 def test_orbit_sets_error_when_irreducible():
@@ -417,21 +419,6 @@ def test_plus_orbit_closed_under_multiplication():
             for a in members:
                 for b in members:
                     assert (a * b) % d in members
-
-
-def test_complex_conjugate_orbit():
-    plus, minus = orbit_sets(7, -7)
-    assert complex_conjugate_orbit(plus) == minus
-    assert complex_conjugate_orbit(minus) == plus
-    f = full_orbit(9)
-    assert complex_conjugate_orbit(f) == f
-    plus12, minus12 = orbit_sets(12, -1)
-    assert complex_conjugate_orbit(plus12) == minus12
-    # the swap happens for every split pair with d > 2
-    for d in range(3, 80):
-        for D in suitable_fields(d):
-            p, m = orbit_sets(d, D)
-            assert complex_conjugate_orbit(p) == m
 
 
 def test_orbitset_validation():

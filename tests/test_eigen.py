@@ -5,56 +5,31 @@ from fractions import Fraction as F
 import pytest
 
 from ballquot.cyclo import is_reducible
-from ballquot.eigen import eigen_exponents, matrix_order, split_half_factor
+from ballquot.eigen import eigen_exponents, split_half_factor
 from ballquot.qfield import QElem, QMatrix
 from ballquot.reidtai import EigenSystem
 from ballquot import cusp
 
 
-def test_matrix_order():
-    i = QMatrix.from_rows(-1, [[QElem.sqrt_d(-1)]])
-    assert matrix_order(i) == 4
-    assert matrix_order(QMatrix.identity(-5, 3)) == 1
-    minus = QMatrix.identity(-5, 2).scale(-1)
-    assert matrix_order(minus) == 2
+def test_eigen_exponents_of_identity_and_minus_identity():
+    for n in (1, 3):
+        ident = QMatrix.identity(-5, n)
+        assert eigen_exponents(ident) == EigenSystem(1, (0,) * n)
+        assert eigen_exponents(-ident) == EigenSystem(2, (1,) * n)
 
 
-def test_matrix_order_non_torsion():
-    m = QMatrix.from_rows(-5, [[QElem.of(-5, 2)]])
+def test_eigen_exponents_refuses_non_involutions():
+    """A non-square X, and X with X @ X != I: the order-4 scalar sqrt(-1),
+    a primitive cube root of unity over Q(sqrt(-3)) and the non-torsion
+    2*I."""
     with pytest.raises(ValueError):
-        matrix_order(m)
-
-
-def test_scalar_orbit_resolution():
-    # the imaginary unit is zeta_4 with Kronecker value +1, exponent 1 not 3
-    i = QMatrix.from_rows(-1, [[QElem.sqrt_d(-1)]])
-    assert eigen_exponents(i) == EigenSystem(4, (1,))
-    assert eigen_exponents(-i) == EigenSystem(4, (3,))
-    # primitive cube roots over the Eisenstein field
+        eigen_exponents(QMatrix.zero(-5, 2, 3))
     z3 = QElem.of(-3, F(-1, 2), F(1, 2))
-    assert eigen_exponents(QMatrix.from_rows(-3, [[z3]])) == EigenSystem(3, (1,))
-    assert eigen_exponents(QMatrix.from_rows(-3, [[z3 * z3]])) == EigenSystem(3, (2,))
-    z6 = -z3 * z3
-    assert eigen_exponents(QMatrix.from_rows(-3, [[z6]])) == EigenSystem(6, (1,))
-
-
-def test_companion_orbit_resolution():
-    # x^4 + 1 = (x^2 - s x - 1)(x^2 + s x - 1) over Q(sqrt(-2)), s = sqrt(-2);
-    # the first factor has roots zeta_8, zeta_8^3 (the +1 Kronecker orbit)
-    s = QElem.sqrt_d(-2)
-    zero, one = QElem.zero(-2), QElem.one(-2)
-    c_plus = QMatrix.from_rows(-2, [[zero, one], [one, s]])
-    c_minus = QMatrix.from_rows(-2, [[zero, one], [one, -s]])
-    assert eigen_exponents(c_plus) == EigenSystem(8, (1, 3))
-    assert eigen_exponents(c_minus) == EigenSystem(8, (5, 7))
-
-
-def test_block_diagonal_mixture():
-    z3 = QElem.of(-3, F(-1, 2), F(1, 2))
-    m = QMatrix.from_rows(-3, [[z3, 0, 0],
-                               [0, 1, 0],
-                               [0, 0, -1]])
-    assert eigen_exponents(m) == EigenSystem(6, (0, 2, 3))
+    for m in (QMatrix.from_rows(-1, [[QElem.sqrt_d(-1)]]),
+              QMatrix.from_rows(-3, [[z3, 0], [0, 1]]),
+              QMatrix.identity(-5, 2).scale(2)):
+        with pytest.raises(ValueError):
+            eigen_exponents(m)
 
 
 def test_split_half_factor_degrees():
@@ -132,29 +107,10 @@ def _assert_multiplicities_match_sympy(sympy, m):
     assert located == m.rows == len(es.exponents)
 
 
-def _companion(coeffs):
-    """The companion matrix of the monic polynomial, low degree first."""
-    k = len(coeffs) - 1
-    zero, one = QElem.zero(coeffs[0].d), QElem.one(coeffs[0].d)
-    return [[one if i == j + 1 else zero for j in range(k - 1)] + [-coeffs[i]]
-            for i in range(k)]
-
-
-def _block_diagonal(d_tag, blocks):
-    size = sum(map(len, blocks))
-    rows, at = [], 0
-    for block in blocks:
-        for row in block:
-            rows.append([QElem.zero(d_tag)] * at + row
-                        + [QElem.zero(d_tag)] * (size - at - len(row)))
-        at += len(block)
-    return QMatrix.from_rows(d_tag, rows)
-
-
 def test_eigen_multiplicities_of_frame_elements_match_sympy():
-    """The X blocks of order-2 elements, and products of B-reflections times
-    a root of unity of the field, so that split factors Phi_4 over Q(i) and
-    Phi_3, Phi_6 over Q(sqrt(-3)) occur."""
+    """The X blocks of order-2 elements, and products of B-reflections over
+    Q(i) and Q(sqrt(-3)); such a product times a unit of order 4 or 6 of
+    its field is no involution, and is refused."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(41)
     for d_tag in (-5, -6, -7, -11):
@@ -168,28 +124,8 @@ def test_eigen_multiplicities_of_frame_elements_match_sympy():
             vecs = cusp.random_b_reflection_vectors(rng, frame, rng.randint(1, n - 1))
             x = cusp.involution_from_vectors(frame, vecs)
             _assert_multiplicities_match_sympy(sympy, x)
-            _assert_multiplicities_match_sympy(sympy, x.scale(unit))
-
-
-@pytest.mark.parametrize("d, d_tag", [(8, -2), (12, -3), (7, -7), (24, -6)])
-def test_eigen_multiplicities_of_split_companions_match_sympy(d, d_tag):
-    """Companions of the +1 half-factor (twice) and of its conjugate, the -1
-    half (once), conjugated by a random invertible matrix: the split path
-    must give the two orbits their own multiplicities."""
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(d)
-    plus = split_half_factor(d, d_tag)
-    minus = [c.conj() for c in plus]
-    m = _block_diagonal(d_tag, [_companion(plus), _companion(plus), _companion(minus)])
-    while True:
-        p = QMatrix.from_rows(d_tag, [[cusp.random_qelem(rng, d_tag, 2, 1)
-                                       for _ in range(m.rows)] for _ in range(m.rows)])
-        if not p.det().is_zero:
-            break
-    similar = p @ m @ p.inverse()
-    es = eigen_exponents(similar)
-    assert es == eigen_exponents(m) and es.order == d
-    _assert_multiplicities_match_sympy(sympy, similar)
+            with pytest.raises(ValueError):
+                eigen_exponents(x.scale(unit))
 
 
 def test_split_half_factor_requires_split():

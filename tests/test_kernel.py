@@ -90,7 +90,6 @@ def test_elimination_agrees_with_fraction_kernel(d):
                 m = (_deficient if deficient else _matrix)(rng, d, n, n)
                 _same(m.det(), ref.det(m))
                 assert m.rank() == ref.rank(m)
-                assert m.kernel_dimension() == n - ref.rank(m)
                 got = _inverse_or_singular(QMatrix.inverse, m)
                 want = _inverse_or_singular(ref.inverse, m)
                 if want == "singular":
@@ -106,7 +105,6 @@ def test_rank_of_non_square_matrices(d):
         rows, cols = rng.choice(SIZES), rng.choice(SIZES)
         m = (_deficient if rng.random() < 0.5 else _matrix)(rng, d, rows, cols)
         assert m.rank() == ref.rank(m)
-        assert m.kernel_dimension() == cols - ref.rank(m)
 
 
 def test_zero_and_identity_matrices():

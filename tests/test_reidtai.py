@@ -8,17 +8,17 @@ from ballquot import reidtai
 from ballquot.certificates import verify_claim
 from ballquot.cyclo import (FULL, OrbitSet, euler_phi, full_orbit, kronecker,
                             orbit_sets, suitable_fields, units_mod)
-from ballquot.qfield import frac, is_squarefree
+from ballquot.qfield import is_squarefree
 from ballquot.reidtai import (CASE_FAMILIES, DIMENSION_COEFF, EigenSystem,
                               MinWitness, _orbit_sum_at, admissible_orbits,
-                              c_min, c_min_red, c_min_red_with_witness,
+                              c_min_red, c_min_red_with_witness,
                               case_analysis, enumerate_exceptional_orders,
                               enumerate_small_d, hom_contribution,
                               is_quasi_reflection, mc, mc_for_field,
                               mc_literal_reading, mc_with_witness,
                               orbit_minimum,
                               pooled_contribution, qr_allowed_patterns,
-                              reid_tai_sum, sigma_prime)
+                              reid_tai_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -54,19 +54,6 @@ def test_is_quasi_reflection():
     assert not is_quasi_reflection(EigenSystem(4, (0, 0)))
 
 
-def test_sigma_prime_examples():
-    assert sigma_prime((0,) * 7 + (1,), l=2, k=3, f=1) == F(1, 3)
-    assert sigma_prime((2,) * 11 + (1,), l=2, k=2, f=1) == 6
-    assert sigma_prime((0, 0, 0), l=3, k=4, f=2) == 0
-
-
-def test_sigma_prime_f_range():
-    with pytest.raises(ValueError):
-        sigma_prime((1, 2), l=2, k=3, f=0)
-    with pytest.raises(ValueError):
-        sigma_prime((1, 2), l=2, k=3, f=3)
-
-
 # ---------------------------------------------------------------------------
 # mc
 
@@ -81,7 +68,7 @@ def brute_mc(r, d_filter=None):
     for members in orbit_families:
         for k1 in members:
             k2 = r - k1
-            total = sum(frac(F(k2 + k, r)) for k in members if k != k1)
+            total = sum(F(k2 + k, r) % 1 for k in members if k != k1)
             cands.append(total)
     return min(cands)
 
@@ -115,9 +102,9 @@ def test_mc_full_orbit_dominates_split():
         for D in suitable_fields(r):
             for orbit in orbit_sets(r, D):
                 for k1 in orbit.members:
-                    split_sum = sum(frac(F(k - k1, r))
+                    split_sum = sum(F(k - k1, r) % 1
                                     for k in orbit.members if k != k1)
-                    full_sum = sum(frac(F(k - k1, r))
+                    full_sum = sum(F(k - k1, r) % 1
                                    for k in full if k != k1)
                     assert split_sum <= full_sum
 
@@ -351,23 +338,6 @@ def quadratic_c_min(d):
     return F(min(sum((b + a) % d for b in units) for a in range(d)), d)
 
 
-def test_c_min_matches_quadratic():
-    for d in range(1, 201):
-        assert c_min(d) == quadratic_c_min(d), d
-    with pytest.raises(ValueError):
-        c_min(0)
-
-
-def test_c_min_examples():
-    assert c_min(1) == 0
-    assert c_min(2) == 0
-    # exhaustive oracle over shifts for d = 5
-    units5 = [b for b in range(1, 5) if gcd(b, 5) == 1]
-    oracle = min(sum(frac(F(b + a, 5)) for b in units5) for a in range(5))
-    assert oracle == F(6, 5)
-    assert c_min(5) == F(6, 5)
-
-
 def test_c_min_red_table():
     expected = {30: F(11, 15), 24: F(5, 6), 20: F(4, 5), 15: F(11, 15),
                 14: F(4, 7), 12: F(1, 3), 8: F(1, 4), 7: F(4, 7),
@@ -382,7 +352,7 @@ def test_c_min_red_witness_cross_check():
     assert (d_tag, label, shift) == (-1, "PLUS", 11)
     # recompute the witness sum directly
     plus, _ = orbit_sets(12, -1)
-    assert sum(frac(F(b + 11, 12)) for b in plus.members) == F(1, 3)
+    assert sum(F(b + 11, 12) % 1 for b in plus.members) == F(1, 3)
 
 
 def test_c_min_red_requires_suitable_field():
@@ -392,7 +362,7 @@ def test_c_min_red_requires_suitable_field():
 
 def test_c_min_red_below_c_min():
     for d in (3, 4, 6, 7, 8, 12, 14, 15, 20, 24, 30):
-        assert c_min_red(d) <= c_min(d)
+        assert c_min_red(d) <= quadratic_c_min(d)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +393,7 @@ def test_hom_contribution_direct_formula():
         d = rng.choice((1, 2, 3, 4, 6, 7, 8, 12))
         r = rng.choice((3, 4, 6, 7, 14, 20))
         k1 = rng.choice([k for k in units_mod(r)])
-        direct = sum(frac(F(a, d) + F(k1, r)) for a in units_mod(d))
+        direct = sum((F(a, d) + F(k1, r)) % 1 for a in units_mod(d))
         assert hom_contribution(d, r, k1, None) == direct
 
 
@@ -435,7 +405,7 @@ def test_hom_contribution_split_matches_kronecker_halves():
             for r in (3, 4, 6, 7, 14, 15, 20, 24, 30):
                 for k1 in units_mod(r):
                     want = min(
-                        sum(frac(F(a, d) + F(k1, r)) for a in units_mod(d)
+                        sum((F(a, d) + F(k1, r)) % 1 for a in units_mod(d)
                             if kronecker(D, a) == alpha)
                         for alpha in (1, -1))
                     assert hom_contribution(d, r, k1, D) == want, (d, D, r, k1)
