@@ -1,15 +1,14 @@
 """Named certificates binding computations to their published expected values.
 
-Each claim has three parts.  Its compute step ``run(cfg)`` recomputes a
+Each claim has two parts.  Its compute step ``run(cfg)`` recomputes a
 finite quantity from scratch (minima with witnesses, enumerations, property
 sweeps) and returns a :class:`Computed`: the report rows and the observed
 value.  A compute step reads no expected value: what it searches (orders,
 cases, fields) comes from the computation's own modules, never from
 :mod:`ballquot.tables`.  ``expected(cfg)`` is the claim's default expected
-value, taken from :mod:`ballquot.tables` or an exact bound, and
-``judge(computed, expected)`` gives the verdict: the observed value equals
-the expected one and the claim's intrinsic checks (such as every
-``mc(r) >= 1``) hold.
+value, taken from :mod:`ballquot.tables` or an exact bound.  Every claim
+is judged one way: it passes when the observed value equals the expected
+one and the claim's intrinsic checks (such as every ``mc(r) >= 1``) hold.
 :func:`certify` joins the parts into a :class:`Certificate` with PASS/FAIL
 verdict, inputs, search bounds and witnesses, so one computation can be
 judged against many expected values; rationals are serialized in lowest
@@ -55,7 +54,7 @@ class RunConfig(NamedTuple):
 
 class Computed(NamedTuple):
     """What a claim's compute step returns: the report rows (labels, values
-    and witnesses), the value its judge compares with the expected one, and
+    and witnesses), the value compared with the expected one, and
     whether the checks that need no expected value hold.  No inputs or
     search bounds (None) are reported as empty ones."""
     rows: List[Dict]
@@ -117,11 +116,6 @@ def _order_differences(result: Computed, expected) -> List[Dict]:
     got, want = set(result.observed), set(expected)
     return [{"label": "missing_from_expected", "value": sorted(got - want)},
             {"label": "extra_in_expected", "value": sorted(want - got)}]
-
-
-def _qr_patterns_allowed(result: Computed, expected) -> bool:
-    return all(orders == expected.get(d, expected["generic"])
-               for d, orders in result.observed.items())
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +232,15 @@ def _claim_omega_unsplit(cfg: RunConfig) -> Computed:
 
 
 def _claim_qr_patterns(cfg: RunConfig) -> Computed:
+    """Observed by field class: D = -1, -2, -3 and "generic", which holds
+    the orders of the fields with D < -3; they must all agree."""
     fields = [-1, -2, -3, -5, -7, -13]
     patterns = {d_tag: qr_allowed_patterns(d_tag) for d_tag in fields}
+    generic = {orders for d, orders in patterns.items() if d < -3}
     return Computed([{"label": f"D={d}", "value": orders}
                      for d, orders in patterns.items()],
-                    patterns, search_bounds={"fields": fields})
+                    {d if d >= -3 else "generic": orders for d, orders in patterns.items()},
+                    search_bounds={"fields": fields}, intrinsic=len(generic) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +470,6 @@ class Claim:
     run: Callable[[RunConfig], Computed]
     expected: Callable[[RunConfig], object]
     bound_checked: str
-    judge: Callable[[Computed, object], bool] = _matches
     # report rows a FAIL adds, from the computation and the expected value
     explain: Optional[Callable[[Computed, object], List[Dict]]] = None
     sweeps_fields: bool = False  # runs over the fields of cfg.d_range
@@ -528,7 +525,7 @@ CLAIMS: Dict[str, Claim] = {
               ">= 1; sweep minimum matches the recorded worst case"),
         Claim("qr_patterns", "allowed quasi-reflection eigenvalue orders",
               _claim_qr_patterns, lambda cfg: tables.QR_PATTERNS_EXPECTED,
-              "allowed orders match the field class", judge=_qr_patterns_allowed),
+              "allowed orders match the field class"),
         Claim("cusp_suite", "frame normalization and stabiliser group laws",
               _claim_cusp_suite, _no_failures,
               "all frame/group/action identities exact", sweeps_fields=True),
@@ -624,7 +621,7 @@ def perturb_at(value, path):
 
 def certify(claim: Claim, result: Computed, expected) -> Certificate:
     """Judge one computation of a claim against one expected value."""
-    ok = claim.judge(result, expected)
+    ok = _matches(result, expected)
     rows = result.rows
     if not ok and claim.explain is not None:
         rows = rows + claim.explain(result, expected)

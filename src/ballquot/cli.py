@@ -43,18 +43,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run certificate suites")
-    run_p.add_argument("--claims", action="append", default=None,
-                       help="comma separated claim ids or globs (default: all)")
-    run_p.add_argument("--r-limit", type=_positive_int, default=None,
-                       help=_limit_help("r_limit"))
-    run_p.add_argument("--d-limit", type=_positive_int, default=None,
-                       help=_limit_help("d_limit"))
-    run_p.add_argument("--d-range", type=int, nargs=2, default=(5, 15),
-                       metavar=("LO", "HI"),
-                       help="|D| window for the field sweeps (default 5 15)")
-    run_p.add_argument("--seed", type=int, default=0,
-                       help="seed for the random property sweeps (default 0)")
+    # an option left out is left out of the RunConfig too, so its default
+    # comes from RunConfig alone
+    defaults = RunConfig._field_defaults
+    run_p = sub.add_parser("run", help="run certificate suites",
+                           argument_default=argparse.SUPPRESS)
+    run_p.add_argument("--claims", action="append",
+                       help="comma separated claim ids or globs (default: "
+                            f"{','.join(defaults['claims'])})")
+    run_p.add_argument("--r-limit", type=_positive_int, help=_limit_help("r_limit"))
+    run_p.add_argument("--d-limit", type=_positive_int, help=_limit_help("d_limit"))
+    run_p.add_argument("--d-range", type=int, nargs=2, metavar=("LO", "HI"),
+                       help="|D| window for the field sweeps (default "
+                            "{} {})".format(*defaults["d_range"]))
+    run_p.add_argument("--seed", type=int,
+                       help=f"seed for the random property sweeps (default {defaults['seed']})")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
     run_p.add_argument("--out", default=None, help="write the report to a file")
     run_p.add_argument("--perturb", action="store_true",
@@ -142,14 +145,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list-claims":
         sys.stdout.write(list_claims())
         return EXIT_OK
-    cfg = RunConfig(
-        claims=tuple(args.claims) if args.claims else ("all",),
-        d_range=tuple(args.d_range),
-        r_limit=args.r_limit,
-        d_limit=args.d_limit,
-        seed=args.seed,
-        perturb=args.perturb,
-    )
+    cfg = RunConfig(**{name: tuple(value) if isinstance(value, list) else value
+                       for name, value in vars(args).items() if name in RunConfig._fields})
     return run_command(cfg, args.format, args.out)
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .eigen import eigen_exponents
 from .qfield import (FieldTagError, QElem, QMatrix, _block_matrix, _elem, _Frozen,
-                     _identity, _mat, _zero, block_matrix, check_field_tag)
+                     _identity, _zero, block_matrix, check_field_tag)
 from .reidtai import EigenSystem
 
 
@@ -415,15 +415,7 @@ def random_vector(rng, d_tag: int, m: int, **kw) -> QMatrix:
     their integers; random_qelem checks the tag."""
     if m < 1:
         raise ValueError("matrix dimensions must be positive")
-    return _assemble(d_tag, m, 1, [random_qelem(rng, d_tag, **kw) for _ in range(m)])
-
-
-def _assemble(d: int, rows: int, cols: int, ents) -> QMatrix:
-    """The rows x cols matrix of the row-major entries ents, elements of the
-    checked field d, over the lcm of their denominators, through _mat."""
-    den = lcm(*[e.den for e in ents])
-    return _mat(d, rows, cols, den, [e.a * (den // e.den) for e in ents],
-                [e.b * (den // e.den) for e in ents])
+    return _block_matrix(d_tag, [[random_qelem(rng, d_tag, **kw)] for _ in range(m)])
 
 
 def random_frame(rng, d_tag: int, n: int) -> CuspFrame:
@@ -449,15 +441,15 @@ def random_b_unitary(rng, frame: CuspFrame) -> QMatrix:
     d, m = frame.d, frame.n - 1
     ident = _identity(d, m)
     while True:
-        ents = [_elem(d, 1, 0, 0)] * (m * m)
+        grid = [[None] * m for _ in range(m)]
         for i in range(m):
             rt = random_rational(rng, 2, 2)
-            ents[i * m + i] = _elem(d, rt.denominator, 0, rt.numerator)
+            grid[i][i] = _elem(d, rt.denominator, 0, rt.numerator)
             for j in range(i + 1, m):
                 x = random_qelem(rng, d, 2, 2)
-                ents[i * m + j] = x
-                ents[j * m + i] = -x.conj()
-        k = _assemble(d, m, m, ents)  # skew-hermitian
+                grid[i][j] = x
+                grid[j][i] = -x.conj()
+        k = _block_matrix(d, grid)  # skew-hermitian
         s = frame._b_inv @ k
         try:
             x_mat = (ident - s) @ (ident + s).inverse()

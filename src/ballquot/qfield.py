@@ -17,18 +17,19 @@ the previous pivot p is exact and is carried out as multiplication by
 conj(p) followed by integer division by the norm p*conj(p).  No floating
 point is used anywhere; a float coordinate is refused.
 
-Only the public constructors check their input: ``QElem(d, re, rt)``,
-``QMatrix(...)``, ``from_rows``, ``column``, ``identity``, ``zero``,
-``block_matrix`` and the constants ``QElem.zero``, ``one`` and ``sqrt_d``
-refuse a bad tag, shape, entry or denominator.  The result of an operation
-on checked values is built by one of two trusted constructors, ``_elem``
-for a scalar and ``_mat`` for a matrix, which reduce by the gcd and check
-nothing else.  The constants check their tag once and build through
-``_elem``.  ``block_matrix`` checks the tag and the blocks' tags once;
-its core ``_block_matrix``, which callers with checked blocks use
-directly, checks only the tiling and copies the blocks' integers into one
-``_mat``.  ``_identity`` and ``_zero`` build through ``_mat``, for callers
-whose tag was checked before.
+Each value type is built one way.  ``_elem`` and ``_mat`` build a scalar
+and a matrix from integers, reducing by the gcd and checking nothing else;
+``_block_matrix`` builds a matrix from parts (QMatrix blocks, a QElem read
+as 1x1), checking only the tiling: it scales each block to the common
+denominator once and joins each row from one slice per block.  Every
+public constructor is its checks plus one of them: ``QMatrix(...)``,
+``identity`` and ``zero`` end in ``_mat``; ``from_rows``, ``column`` and
+``block_matrix`` in ``_block_matrix``; the constants ``QElem.zero``,
+``one`` and ``sqrt_d`` in ``_elem``.  Each refuses a bad tag, shape, entry
+or denominator; ``QElem(d, re, rt)`` sets its coprime integers itself.
+Operations on checked values build their results with ``_elem`` and
+``_mat``, and ``_identity`` and ``_zero`` through ``_mat``, for callers
+whose tag was checked before.  No other module calls ``_mat``.
 """
 
 from __future__ import annotations
@@ -123,12 +124,13 @@ class _Frozen:
 class QElem(_Frozen):
     """An element re + rt*sqrt(D) of the imaginary quadratic field Q(sqrt(D)).
 
-    Immutable; stored as the tag ``d`` and integers ``den``, ``a``, ``b``
-    standing for (a + b*sqrt(D)) / den in lowest terms, as one entry of a
-    QMatrix.  ``re`` and ``rt`` read the coordinates as ``Fraction``.
+    Immutable; its fields are the tag ``d`` and integers ``den``, ``a``,
+    ``b`` standing for (a + b*sqrt(D)) / den in lowest terms, as one entry
+    of a QMatrix, and ``==`` and hash read them.  ``re`` and ``rt`` read
+    the coordinates as ``Fraction``.
     """
 
-    __slots__ = ("d", "den", "a", "b")
+    __slots__ = _fields = ("d", "den", "a", "b")
 
     def __init__(self, d: int, re: RationalLike, rt: RationalLike):
         check_field_tag(d)
@@ -145,15 +147,6 @@ class QElem(_Frozen):
 
     def __reduce__(self):
         return QElem, (self.d, self.re, self.rt)
-
-    def __eq__(self, other):
-        if other.__class__ is QElem:
-            return (self.a == other.a and self.b == other.b and self.den == other.den
-                    and self.d == other.d)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.d, self.den, self.a, self.b))
 
     def __repr__(self):
         return f"QElem(d={self.d!r}, re={self.re!r}, rt={self.rt!r})"
@@ -265,7 +258,6 @@ class QElem(_Frozen):
 
 
 _new = object.__new__
-_setattr = object.__setattr__
 _set_d = QElem.d.__set__
 _set_den = QElem.den.__set__
 _set_a = QElem.a.__set__
@@ -344,40 +336,36 @@ class QMatrix(_Frozen):
     _fields = ("d", "rows", "cols", "den", "re", "rt")
 
     def __init__(self, d: int, rows: int, cols: int, den: int, re: tuple, rt: tuple):
-        self.__dict__.update(d=d, rows=rows, cols=cols, den=den, re=re, rt=rt)
-        check_field_tag(self.d)
-        if self.rows <= 0 or self.cols <= 0:
+        check_field_tag(d)
+        if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
-        if not len(self.re) == len(self.rt) == self.rows * self.cols:
+        if not len(re) == len(rt) == rows * cols:
             raise ValueError("entry count does not match dimensions")
-        if self.den <= 0:
+        if den <= 0:
             raise ValueError("the common denominator must be positive")
-        g = gcd(self.den, *self.re, *self.rt)
-        _setattr(self, "den", self.den // g)
-        _setattr(self, "re", tuple([a // g for a in self.re]))
-        _setattr(self, "rt", tuple([b // g for b in self.rt]))
+        self.__dict__.update(_mat(d, rows, cols, den, re, rt).__dict__)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rows(cls, d: int, rows: Sequence[Sequence]) -> "QMatrix":
-        nr = len(rows)
-        if nr == 0:
+        check_field_tag(d)
+        if not rows or not rows[0]:
             raise ValueError("matrix dimensions must be positive")
         nc = len(rows[0])
-        ents = []
+        grid = []
         for row in rows:
             if len(row) != nc:
                 raise ValueError("ragged rows")
+            ents = []
             for e in row:
                 if not isinstance(e, QElem):
                     e = QElem.of(d, e)
                 elif e.d != d:
                     raise FieldTagError("entry field tag differs from matrix tag")
                 ents.append(e)
-        den = lcm(*[e.den for e in ents])
-        return cls(d, nr, nc, den, [e.a * (den // e.den) for e in ents],
-                   [e.b * (den // e.den) for e in ents])
+            grid.append(ents)
+        return _block_matrix(d, grid)
 
     @classmethod
     def identity(cls, d: int, n: int) -> "QMatrix":
@@ -604,23 +592,28 @@ def block_matrix(d: int, blocks: Iterable[Iterable]) -> QMatrix:
 
 def _block_matrix(d: int, grid) -> QMatrix:
     """block_matrix of a grid (a list of rows) of checked blocks, all of
-    the checked tag d: only the tiling is checked, and the blocks' integers
-    are copied over the lcm of their denominators into one ``_mat``."""
+    the checked tag d: only the tiling is checked.  Each block is scaled to
+    the lcm of the denominators once, and each row of the result is joined
+    from one slice per block, into one ``_mat``."""
     den = lcm(*(b.den for block_row in grid for b in block_row))
     re, rt, widths = [], [], set()
     for block_row in grid:
-        # (rows, cols, den, re, rt) of each block, a QElem read as 1x1
-        parts = [(b.rows, b.cols, b.den, b.re, b.rt) if isinstance(b, QMatrix)
-                 else (1, 1, b.den, (b.a,), (b.b,)) for b in block_row]
+        # (rows, cols, re, rt) of each block over den, a QElem read as 1x1
+        parts = []
+        for b in block_row:
+            f = den // b.den
+            if isinstance(b, QMatrix):
+                parts.append((b.rows, b.cols, [f * a for a in b.re], [f * a for a in b.rt]))
+            else:
+                parts.append((1, 1, (f * b.a,), (f * b.b,)))
         height = parts[0][0]
         if any(p[0] != height for p in parts):
             raise ValueError("inconsistent block heights")
         widths.add(sum(p[1] for p in parts))
         for i in range(height):
-            for _, cols, bden, bre, brt in parts:
-                f, lo, hi = den // bden, i * cols, (i + 1) * cols
-                re += [f * a for a in bre[lo:hi]]
-                rt += [f * a for a in brt[lo:hi]]
+            for _, cols, bre, brt in parts:
+                re += bre[i * cols:(i + 1) * cols]
+                rt += brt[i * cols:(i + 1) * cols]
     if len(widths) != 1:
         raise ValueError("inconsistent block widths")
     width = widths.pop()

@@ -93,9 +93,10 @@ MUTANTS: Tuple[Mutant, ...] = (
             "tests/test_qfield.py::test_matrix_inverse_and_rank",
             "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
     Mutant("block_scale_factor_dropped", QFIELD,
-           "                f, lo, hi = den // bden, i * cols, (i + 1) * cols\n",
-           "                f, lo, hi = 1, i * cols, (i + 1) * cols\n",
+           "            f = den // b.den\n",
+           "            f = 1\n",
            ("tests/test_kernel.py::test_block_matrix_equals_the_checked_assembly_and_the_fraction_pairs",
+            "tests/test_qfield.py::test_equal_values_by_different_routes",
             "tests/test_cusp.py::test_q_matrix_and_from_blocks_equal_the_checked_assembly",
             "tests/test_acceptance.py::test_criterion_07_cusp_property_suite")),
     Mutant("block_matrix_skips_tag_check", QFIELD,

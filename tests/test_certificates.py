@@ -231,12 +231,46 @@ def test_cli_show_tables_fails_on_a_perturbed_table(monkeypatch, capsys):
     assert '"30": "10982/14955"' in out  # 11/15 + 1/997
 
 
+def test_qr_patterns_is_judged_by_equality():
+    """The claim observes one pattern per field class, as the table keys
+    them; a value keyed by field, each with its right orders, differs."""
+    import ballquot.tables as tables
+    by_class = tables.QR_PATTERNS_EXPECTED
+    by_field = {d: by_class.get(d, by_class["generic"])
+                for d in (-1, -2, -3, -5, -7, -13)}
+    assert verify_claim("qr_patterns", expected=dict(by_class)).passed()
+    assert verify_claim("qr_patterns", expected=by_field).verdict == "FAIL"
+
+
+def test_qr_patterns_fails_when_the_generic_fields_disagree(monkeypatch):
+    from ballquot import certificates as certs_mod
+    real = certs_mod.qr_allowed_patterns
+    monkeypatch.setattr(certs_mod, "qr_allowed_patterns",
+                        lambda d: frozenset({1}) if d == -7 else real(d))
+    assert verify_claim("qr_patterns").verdict == "FAIL"
+
+
 def test_cli_text_report_to_stdout(capsys):
     code = cli.main(["run", "--claims", "qr_patterns"])
     out = capsys.readouterr().out
     assert code == 0
     assert "claim qr_patterns: PASS" in out
     assert "summary: 1 claims, 1 PASS, 0 FAIL" in out
+
+
+def test_cli_passes_only_the_given_options_to_the_run_config(monkeypatch):
+    # a bare run builds RunConfig()'s own defaults, which no option repeats
+    seen = []
+    monkeypatch.setattr(cli, "run_command",
+                        lambda cfg, fmt, out: seen.append((cfg, fmt, out)) or 0)
+    assert cli.main(["run"]) == 0
+    assert cli.main(["run", "--claims", "qr_*", "--claims", "cusp_suite",
+                     "--d-range", "5", "9", "--seed", "3", "--r-limit", "7",
+                     "--perturb", "--format", "json"]) == 0
+    assert seen == [
+        (RunConfig(), "text", None),
+        (RunConfig(claims=("qr_*", "cusp_suite"), d_range=(5, 9), r_limit=7,
+                   seed=3, perturb=True), "json", None)]
 
 
 @pytest.mark.parametrize("argv", [

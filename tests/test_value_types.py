@@ -8,6 +8,7 @@ generated methods gave: equality and hashing by value, immutability, the
 validation errors, and pickling.
 """
 
+import ast
 import copy
 import dataclasses
 import importlib
@@ -15,6 +16,7 @@ import pickle
 import pkgutil
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -178,6 +180,21 @@ def test_trusted_builds_compare_with_checked_ones():
     assert x == QMatrix(x.d, x.rows, x.cols, x.den, x.re, x.rt)
     plus, minus = orbit_sets(7, -7)
     assert plus == OrbitSet(7, plus.members, PLUS, -7) and plus != minus
+
+
+def test_only_qfield_names_the_trusted_matrix_builder():
+    """A QMatrix is built from integers by qfield._mat alone: every other
+    module builds one from parts through _block_matrix, or through a public
+    constructor, an operation or _identity/_zero."""
+    names = set()
+    for info in pkgutil.iter_modules(ballquot.__path__):
+        tree = ast.parse(Path(ballquot.__path__[0], f"{info.name}.py").read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "_mat"
+                    or isinstance(node, ast.Attribute) and node.attr == "_mat"
+                    or isinstance(node, ast.alias) and node.name == "_mat"):
+                names.add(info.name)
+    assert names == {"qfield"}
 
 
 def _b():
