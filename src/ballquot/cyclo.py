@@ -20,6 +20,10 @@ prime and pass.  The scan compares each later period with the first as
 one integer, the period's bytes masked to the units mod d; the units and
 that mask come from one cached strike of the multiples of d's primes,
 which units_mod reads as well.
+
+The verdicts, the scan results and the strikes are kept for the last 256
+pairs or orders each, so a long sweep's memory does not grow with its
+reach; the field tables, their sieves and the checked tags are kept whole.
 """
 
 from __future__ import annotations
@@ -133,12 +137,18 @@ def units_mod(d: int):
     return _struck_units(d)[0] if d > 1 else (0,)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _struck_units(d: int):
     """The units a in [1, d], ascending (for d = 1, a = 1 alone), and their
     mask, the integer whose byte a - 1 is 0xff at each unit a and 0
     elsewhere: one byte per a in [1, d], with the multiples of each prime
-    of d struck out."""
+    of d struck out.
+
+    Kept for the last 256 orders, like the scan results of the pairs: a
+    sweep over orders asks for each order on consecutive calls, and a
+    sweep over fields asks for 3 orders in all.  `run --claims all` needs
+    300 orders; under the bound it strikes 393 times where it would strike
+    300, each strike d bytes."""
     flags = bytearray(b"\xff") * d
     for p, _ in factorize(d):
         flags[p - 1::p] = bytes(d // p)
@@ -170,7 +180,10 @@ def _field_table(d_tag: int) -> bytearray:
     """The values (D/a) for a = 0, 1, 2, ... as far as some scan of the
     field has read, each stored mod 3 in one byte: 0, 1 and 2 for 0, +1
     and -1, so that a product of two entries, reduced mod 3, is the entry
-    of the product.  It starts at a = 0 alone; _grow fills it."""
+    of the product.  It starts at a = 0 alone; _grow fills it.
+
+    Every field's table is kept, unlike the per-pair and per-order memos:
+    an evicted table would read its primes by Euler's criterion again."""
     return bytearray(1)
 
 
@@ -224,7 +237,7 @@ def _grow(table: bytearray, d_tag: int, n: int) -> None:
             power *= p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _character_defined_mod(d: int, d_tag: int):
     """Scan test: is a -> kronecker(D, a) a nonvanishing character mod d?
 
@@ -243,6 +256,12 @@ def _character_defined_mod(d: int, d_tag: int):
     through period 2k - 1, capped at the last unit below 10d: a full scan
     grows it at most four times after the first period, and a scan that
     fails at period 1 reads no further than that period.
+
+    The result is kept for the last 256 pairs, as is_reducible's verdict
+    is, and is asked about the same pairs: orbit_sets reads it again soon
+    after is_reducible has.  `run --claims all` needs 2402 pairs; under the
+    bound it scans 2546 times, as is_reducible asks again about 144 pairs
+    it evicted.
     """
     table = _field_table(d_tag)
     units, mask = _struck_units(d)
@@ -266,7 +285,7 @@ def _character_defined_mod(d: int, d_tag: int):
     return tuple(compress(span, first.translate(_PLUS_FLAGS))), minus
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=256, typed=True)
 def is_reducible(d: int, d_tag: int) -> bool:
     """Does the d-th cyclotomic polynomial factor over Q(sqrt(D))?
 
@@ -274,6 +293,15 @@ def is_reducible(d: int, d_tag: int) -> bool:
     character scan; disagreement raises InternalCheckError.  The cache is
     typed, so a tag that equals a valid one, such as -3.0, misses it and is
     refused by field_discriminant.
+
+    The verdict is kept for the last 256 pairs: a sweep asks about a pair
+    again within a few calls, and a sweep over r keeps asking about new
+    ones.  Over r <= 160 (phi(r) >= 10) mc_with_witness asks 466 times for
+    233 pairs, each again within 8 calls, and evicts nothing; mc_for_field
+    over 1824 fields and 3 orders asks for 5472 pairs and hits 4 times,
+    each on the call after the first.  `run --claims all` asks 5148 times
+    for 2402 pairs; the bound costs 144 of its 2746 hits, each one scan by
+    _character_defined_mod again.
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError(f"is_reducible expects an int d >= 1, got {d!r}")

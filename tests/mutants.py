@@ -121,9 +121,21 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_qfield.py::test_is_squarefree_matches_brute_force",)),
     # -- the orbit stack
     Mutant("is_reducible_cache_untyped", CYCLO,
-           "@lru_cache(maxsize=None, typed=True)\ndef is_reducible(",
-           "@lru_cache(maxsize=None)\ndef is_reducible(",
+           "@lru_cache(maxsize=256, typed=True)\ndef is_reducible(",
+           "@lru_cache(maxsize=256)\ndef is_reducible(",
            ("tests/test_cyclo.py::test_tag_lookalikes_are_refused_cold_and_warm",)),
+    Mutant("is_reducible_cache_unbounded", CYCLO,
+           "@lru_cache(maxsize=256, typed=True)\ndef is_reducible(",
+           "@lru_cache(maxsize=None, typed=True)\ndef is_reducible(",
+           ("tests/test_cyclo.py::test_scan_memos_are_bounded_and_answer_alike_cold_and_after_eviction",)),
+    Mutant("scan_cache_unbounded", CYCLO,
+           "@lru_cache(maxsize=256)\ndef _character_defined_mod(",
+           "@lru_cache(maxsize=None)\ndef _character_defined_mod(",
+           ("tests/test_cyclo.py::test_scan_memos_are_bounded_and_answer_alike_cold_and_after_eviction",)),
+    Mutant("units_cache_unbounded", CYCLO,
+           "@lru_cache(maxsize=256)\ndef _struck_units(",
+           "@lru_cache(maxsize=None)\ndef _struck_units(",
+           ("tests/test_cyclo.py::test_scan_memos_are_bounded_and_answer_alike_cold_and_after_eviction",)),
     Mutant("is_reducible_takes_any_order", CYCLO,
            "    if not isinstance(d, int) or isinstance(d, bool) or d < 1:\n",
            "    if d < 1:\n",

@@ -350,6 +350,29 @@ def test_struck_units_and_mask_match_gcd():
         assert units_mod(d) == tuple(a for a in range(d) if gcd(a, d) == 1), d
 
 
+def test_scan_memos_are_bounded_and_answer_alike_cold_and_after_eviction(cold_scan_caches):
+    """A split pair asked about cold, then pushed out of every pair and
+    order memo by 300 other pairs of 300 other orders, then asked about
+    again: each memo stays within its bound, misses the pair the second
+    time, and gives the cold answer."""
+    memos = (is_reducible, cyclo._character_defined_mod, cyclo._struck_units)
+
+    def answer():
+        plus, minus = orbit_sets(12, -3)
+        return is_reducible(12, -3), plus.members, minus.members, units_mod(12)
+
+    cold = answer()
+    assert cold == (True, (1, 7), (5, 11), (1, 5, 7, 11))
+    for d in range(100, 400):
+        is_reducible(d, -7)
+    misses = [memo.cache_info().misses for memo in memos]
+    assert answer() == cold
+    for memo, before in zip(memos, misses):
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert info.misses == before + 1, memo
+
+
 def kronecker_orbit_sets(d, D):
     """The orbits as kronecker reads them, one call per unit mod d."""
     plus, minus = [], []
